@@ -8,6 +8,7 @@ against its baseline must produce ``passed=False``.
 
 import json
 import pathlib
+import shutil
 import sys
 
 import pytest
@@ -213,3 +214,30 @@ def test_committed_baselines_assemble_into_a_valid_envelope():
     envelope = bench.load_baseline()
     assert set(envelope["suites"]) >= {"engine", "transform", "runtime",
                                        "device"}
+
+
+def test_failed_suite_child_raises_bench_error(monkeypatch):
+    false = shutil.which("false")
+    if false is None:
+        pytest.skip("no `false` executable to stand in for a failing child")
+    monkeypatch.setattr(bench.sys, "executable", false)
+    with pytest.raises(BenchError, match="failed"):
+        bench.run_suites(["runtime"], quick=True)
+
+
+#: Two cheap suites whose committed baselines sit well inside the gate.
+ORDER_PAIR = ("transform", "scale")
+
+
+def test_gate_verdict_does_not_depend_on_suite_order():
+    """Each suite runs in its own interpreter, so no state left behind
+    by one suite can move the timings, or the verdict, of the next."""
+    baseline = bench.load_baseline(names=ORDER_PAIR)
+    verdicts = []
+    for order in (ORDER_PAIR, ORDER_PAIR[::-1]):
+        current = bench.run_suites(list(order), quick=True)
+        assert list(current["suites"]) == list(order)
+        report = bench.compare_envelopes(current, baseline)
+        verdicts.append({name: entry["status"]
+                         for name, entry in report["suites"].items()})
+    assert verdicts[0] == verdicts[1]

@@ -285,18 +285,19 @@ class Automaton:
         return max((longest[s.id] for s in self.start_states()), default=0)
 
     def copy(self, name=None):
-        """Deep-enough copy (STEs are cloned, edges rebuilt)."""
-        duplicate = Automaton(
-            name=name if name is not None else self.name,
-            bits=self.bits,
-            arity=self.arity,
-            start_period=self.start_period,
-        )
-        for state in self:
-            duplicate.add_state(state.clone())
-        for src, dst in self.transitions():
-            duplicate.add_transition(src, dst)
-        return duplicate
+        """Deep-enough copy (STEs are cloned, edge sets are fresh).
+
+        The source already satisfies :meth:`validate`, so the graph
+        dicts are built directly instead of re-checking every state and
+        edge through :meth:`add_state`/:meth:`add_transition`.
+        """
+        return Automaton._from_graph(
+            name if name is not None else self.name,
+            self.bits, self.arity, self.start_period,
+            {state_id: state.clone()
+             for state_id, state in self._states.items()},
+            {src: set(dsts) for src, dsts in self._succ.items()},
+            {dst: set(srcs) for dst, srcs in self._pred.items()})
 
     def shallow_clone(self, name=None):
         """Copy sharing the (immutable-once-compiled) STE objects.

@@ -13,6 +13,18 @@ which also made kernel timings irreproducible between processes.
 restores it afterwards.  It is re-entrant (an inner kernel sees the
 collector already off and leaves state alone) and exception-safe, and it
 respects callers that run with the collector disabled globally.
+
+The collector is paused in two places:
+
+- around the transform kernels (squaring and minimization), via
+  :func:`gc_paused`;
+- around the stage-graph runtime's two passes — the store probe, then
+  the waves and their artifact write-back
+  (:meth:`repro.runtime.graph.Runtime.execute`).  A run's results and
+  the artifact store's memory tier only grow there, so each full
+  collection rescanned them and freed nothing.  Worker processes forked
+  from inside a wave switch the collector back on at start-up
+  (:func:`repro.sim.parallel._initialize_worker`).
 """
 
 import contextlib

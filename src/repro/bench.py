@@ -1,12 +1,12 @@
 """Unified benchmark envelope and perf-regression gate (``repro bench``).
 
-The six benchmark suites (``scripts/bench_{engine,transform,runtime,
-device,batch,prefilter}.py``) each write their own versioned trajectory
+The benchmark suites (``scripts/bench_<name>.py`` for every name in
+:data:`SUITE_NAMES`) each write their own versioned trajectory
 payload.  This module gives them one front door:
 
-- **run** — execute any subset of suites and wrap the per-suite payloads
-  (still validated by each script's own ``validate_payload``) in a
-  ``repro-bench/v2`` envelope;
+- **run** — execute any subset of suites, each in a fresh interpreter,
+  and wrap the per-suite payloads (still validated by each script's own
+  ``validate_payload``) in a ``repro-bench/v2`` envelope;
 - **compare** — diff two envelopes on each suite's *figures of merit*
   (the scale-insensitive speedup ratios exposed by the scripts'
   ``extract_metrics``), gating on the geomean of current/baseline
@@ -36,7 +36,11 @@ Noise handling, in order of application:
 import importlib.util
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
+import tempfile
 
 from .errors import BenchError
 
@@ -117,21 +121,62 @@ def validate_envelope(envelope):
 def run_suites(names=None, quick=False, progress=None):
     """Execute the named suites; returns a validated v2 envelope.
 
-    ``quick`` applies each script's ``QUICK_PARAMS`` (same scale as the
-    committed baseline, fewer repeats/workloads).  ``progress`` is an
-    optional callable fed one status line per suite.
+    Each suite runs in a fresh interpreter (:func:`run_suite_isolated`),
+    so heap size, caches and pools left behind by one suite cannot leak
+    into the timings of the next, and the verdict does not depend on
+    the order the suites run in.  ``quick`` applies each script's
+    ``QUICK_PARAMS`` (same scale as the committed baseline, fewer
+    repeats/workloads).  ``progress`` is an optional callable fed one
+    status line per suite.
     """
     payloads = {}
     for name in names or SUITE_NAMES:
-        module = load_suite(name)
-        params = dict(getattr(module, "QUICK_PARAMS", {})) if quick else {}
         if progress is not None:
             progress("running bench suite %r%s ..."
                      % (name, " (quick)" if quick else ""))
-        payload = module.run_suite(**params)
-        module.validate_payload(payload)
-        payloads[name] = payload
+        payloads[name] = run_suite_isolated(name, quick=quick)
     return build_envelope(payloads, quick=quick)
+
+
+def run_suite_isolated(name, quick=False):
+    """Run one suite in a fresh interpreter; returns its validated payload.
+
+    The child (``python -m repro.bench NAME OUT [--quick]``) writes the
+    payload to a temporary file; it is validated again on this side.
+    Raises :class:`BenchError` when the child fails.
+    """
+    module = load_suite(name)
+    src = str(pathlib.Path(__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        part for part in (src, env.get("PYTHONPATH")) if part)
+    with tempfile.TemporaryDirectory(prefix="repro-bench-") as scratch:
+        out = os.path.join(scratch, "payload.json")
+        command = [sys.executable, "-m", "repro.bench", name, out]
+        if quick:
+            command.append("--quick")
+        child = subprocess.run(command, env=env, stdout=subprocess.PIPE,
+                               stderr=subprocess.PIPE, text=True)
+        if child.returncode != 0:
+            tail = "\n".join(child.stderr.strip().splitlines()[-5:])
+            raise BenchError("bench suite %r failed (exit %d): %s"
+                             % (name, child.returncode, tail))
+        with open(out, "r", encoding="utf-8") as handle:
+            payload = json.load(handle)
+    try:
+        module.validate_payload(payload)
+    except ValueError as error:
+        raise BenchError("suite %r: %s" % (name, error)) from error
+    return payload
+
+
+def _run_suite_here(name, quick):
+    """Run one suite in this process; returns its validated payload."""
+    module = load_suite(name)
+    params = dict(getattr(module, "QUICK_PARAMS", {})) if quick else {}
+    payload = module.run_suite(**params)
+    module.validate_payload(payload)
+    return payload
 
 
 def load_envelope(path):
@@ -282,3 +327,10 @@ def render_report(report):
     lines.append("bench gate: %s"
                  % ("PASS" if report["passed"] else "REGRESSION"))
     return "\n".join(lines)
+
+
+if __name__ == "__main__":
+    # Child side of run_suite_isolated: ``NAME OUT [--quick]``.
+    _payload = _run_suite_here(sys.argv[1], quick="--quick" in sys.argv[3:])
+    with open(sys.argv[2], "w", encoding="utf-8") as _handle:
+        json.dump(_payload, _handle)

@@ -22,6 +22,7 @@ params, deps) twice returns the same node, so one scorecard graph runs
 each shared stage once even when several experiments declare it.
 """
 
+from ..automata.gcutil import bulk_alloc
 from ..errors import StageGraphError
 from ..obs import OBS, trace_span
 from ..sim.parallel import ParallelRunner
@@ -124,15 +125,31 @@ class Runtime:
         """
         if targets is None:
             targets = list(graph.order)
-        results = {}
         demanded = set()
         for task in targets:
             if graph._by_signature.get(task.signature) is not task:
                 raise StageGraphError(
                     "target %r does not belong to this graph" % (task,))
             demanded.add(task)
-        # Reverse pass: probe the store top-down so a cached target
-        # removes the demand on its whole upstream subgraph.
+        # The cyclic collector is paused for both passes: store reads,
+        # stage runs and write-backs only grow long-lived, acyclic
+        # artifacts (and the store's memory tier), so every full
+        # collection in here rescanned them and freed nothing.
+        with bulk_alloc():
+            results = self._probe(graph, demanded)
+            self._run_waves([task for task in graph.order
+                             if task in demanded and task not in results],
+                            results)
+        return results
+
+    def _probe(self, graph, demanded):
+        """Reverse pass: probe the store top-down so a cached target
+        removes the demand on its whole upstream subgraph.
+
+        Returns ``{task: value}`` for the hits and grows ``demanded``
+        with the dependencies of every miss.
+        """
+        results = {}
         for task in reversed(graph.order):
             if task not in demanded:
                 continue
@@ -144,10 +161,12 @@ class Runtime:
                     self._record_hit(task)
                     continue
             demanded.update(task.deps)
-        # Forward pass: execute what remains, one dependency wave at a
-        # time, fanning each wave through the parallel runner.
-        pending = [task for task in graph.order
-                   if task in demanded and task not in results]
+        return results
+
+    def _run_waves(self, pending, results):
+        """Forward pass: execute ``pending`` one dependency wave at a
+        time, fanning each wave through the parallel runner, and write
+        cacheable results back to the store."""
         runner = ParallelRunner(self.workers)
         while pending:
             depth = min(task.depth for task in pending)
@@ -169,7 +188,6 @@ class Runtime:
                                    context=task.stage.name)
                 results[task] = value
                 self._record_miss(task, seconds)
-        return results
 
     @staticmethod
     def _record_hit(task):

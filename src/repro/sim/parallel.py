@@ -27,6 +27,7 @@ transform metrics and stitches worker spans under the ``parallel.map``
 span (see docs/observability.md for the merge semantics).
 """
 
+import gc
 import os
 import pickle
 from concurrent.futures import ProcessPoolExecutor
@@ -50,11 +51,18 @@ def _initialize_worker(cache_directory, artifact_directory=None):
     """Process-pool initializer: point the worker's transform cache and
     stage-graph artifact store at the parent's directories so workers
     share compiled automata and stage artifacts through the disk tiers
-    instead of recomputing per process."""
+    instead of recomputing per process.
+
+    Pools are forked from inside :meth:`Runtime.execute
+    <repro.runtime.graph.Runtime.execute>`, which pauses the cyclic
+    collector; a forked worker inherits that state, so the collector is
+    switched back on here (kernels pause it again for their own bursts).
+    """
     from ..obs import OBS, detach
     from ..runtime.store import configure as configure_store
     from ..transform.cache import configure
 
+    gc.enable()
     configure(directory=cache_directory)
     configure_store(directory=artifact_directory)
     # Under fork the child inherits the parent's attached collector; a

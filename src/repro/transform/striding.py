@@ -54,11 +54,8 @@ def square(automaton, minimized=True, name=None):
     strided cycle — no phase states needed.  Period 1 allows mid-vector
     starts, handled by wildcard-prefixed phase states.
     """
-    if automaton.start_period != 1 and automaton.start_period % 2 != 0:
-        raise TransformError(
-            "cannot square an automaton with odd start period %d"
-            % automaton.start_period
-        )
+    _check_squarable(automaton)
+
     def build():
         result = _square(automaton, minimized, name).validate()
         if minimized:
@@ -72,6 +69,14 @@ def square(automaton, minimized=True, name=None):
 
     return memoize("square", automaton, build,
                    minimized=minimized, name=name)
+
+
+def _check_squarable(automaton):
+    if automaton.start_period != 1 and automaton.start_period % 2 != 0:
+        raise TransformError(
+            "cannot square an automaton with odd start period %d"
+            % automaton.start_period
+        )
 
 
 @gc_paused
@@ -359,8 +364,9 @@ def _square(automaton, minimized, name):
         OBS.instruments.transform_states.labels(op="square").set(len(result))
     # No validate() here: every invariant it checks holds by construction
     # (canonical STEs from validated sources, mirrored succ/pred rows,
-    # freshly pruned reachability), and the production entry (``square``)
-    # still validates each fresh build.  The differential suite pins the
+    # freshly pruned reachability), and the production entries still
+    # validate each fresh build (``square`` its result, ``stride`` its
+    # final machine).  The differential suite pins the
     # kernel's output byte-identical to the oracle's.
     return result
 
@@ -481,6 +487,10 @@ def stride(automaton, factor, minimized=True):
     pruned of unreachable states but skip minimization, since the final
     partition refinement subsumes any merging an intermediate pass would
     have done and the per-squaring passes dominated striding cost.
+
+    The squarings call the kernel directly rather than :func:`square`:
+    ``stride`` is one cache entry, so its intermediate machines are
+    never fingerprinted, copied, encoded or written on their own.
     """
     if factor < 1 or factor & (factor - 1):
         raise TransformError("stride factor must be a power of two, got %r" % factor)
@@ -490,12 +500,15 @@ def stride(automaton, factor, minimized=True):
         applied = 1
         while applied < factor:
             applied *= 2
-            current = square(
-                current, minimized=minimized and applied >= factor)
+            _check_squarable(current)
+            current = _square(
+                current, minimized and applied >= factor, None)
         if current is automaton:
             # Factor 1 is a rename-only pass: share the (immutable)
             # STEs instead of deep-copying the whole machine.
             current = automaton.shallow_clone()
+        else:
+            current.validate()
         current.name = automaton.name + (".x%d" % factor if factor > 1 else "")
         return current
 

@@ -26,6 +26,7 @@ from repro.regex import compile_pattern
 from repro.transform import cache as transform_cache
 from repro.transform import to_nibbles
 from repro.transform.striding import _square, square, square_unindexed, stride
+from repro.workloads import BENCHMARK_NAMES, generate
 
 #: Structural fingerprint of ``square(to_nibbles(he(llo)+))`` as produced
 #: by the pre-indexed pipeline.  If this changes, every artifact store in
@@ -220,6 +221,44 @@ def test_shallow_clone_shares_states_not_edges():
     clone.add_transition(some_id, other)
     clone.remove_transition(some_id, other)
     assert len(machine.successors(some_id)) == before
+
+
+def _assert_independent_copy(machine):
+    """``copy()`` is exact and shares no mutable state with its source."""
+    dump = machine.dumps()
+    preds = {state_id: set(machine.predecessors(state_id))
+             for state_id in machine.state_ids()}
+    duplicate = machine.copy()
+    assert duplicate.dumps() == dump
+    assert duplicate.fingerprint() == machine.fingerprint()
+    assert {state_id: duplicate.predecessors(state_id)
+            for state_id in duplicate.state_ids()} == preds
+    ids = machine.state_ids()
+    first, last = ids[0], ids[-1]
+    assert duplicate.state(first) is not machine.state(first)
+    duplicate.add_state(machine.state(first).clone("extra"))
+    duplicate.add_transition(first, "extra")
+    duplicate.add_transition("extra", last)
+    duplicate.add_transition(last, first)
+    for dst in list(duplicate.successors(first)):
+        duplicate.remove_transition(first, dst)
+    duplicate.remove_state(last)
+    assert machine.dumps() == dump
+    assert {state_id: machine.predecessors(state_id)
+            for state_id in machine.state_ids()} == preds
+    machine.validate()
+
+
+@pytest.mark.parametrize("name", BENCHMARK_NAMES)
+def test_copy_registry_benchmarks(name):
+    _assert_independent_copy(generate(name, scale=0.002, seed=0).automaton)
+
+
+@pytest.mark.parametrize("case", CASES, ids=_ids)
+def test_copy_random_automata(case):
+    seed, arity, period = case
+    _assert_independent_copy(
+        rich_random_automaton(seed, arity=arity, start_period=period))
 
 
 def test_stride_factor_one_is_shallow():

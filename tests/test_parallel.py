@@ -1,5 +1,7 @@
 """ParallelRunner: ordering, fallback, determinism, and CLI plumbing."""
 
+import gc
+
 import pytest
 
 from repro.errors import SimulationError
@@ -9,6 +11,10 @@ from repro import obs
 
 def _square(job):
     return job * job
+
+
+def _collector_enabled(job):
+    return gc.isenabled()
 
 
 class TestRunner:
@@ -47,6 +53,16 @@ class TestRunner:
 
     def test_parallel_map_convenience(self):
         assert parallel_map(_square, [5], workers=1) == [25]
+
+    def test_workers_run_with_collector_enabled(self):
+        # Pools fork from inside Runtime.execute, where the parent has
+        # the collector paused; workers must not inherit that state.
+        gc.disable()
+        try:
+            enabled = ParallelRunner(2).map(_collector_enabled, [0, 1, 2, 3])
+        finally:
+            gc.enable()
+        assert enabled == [True] * 4
 
     def test_metrics_recorded_when_collecting(self):
         registry = obs.MetricsRegistry()

@@ -7,6 +7,7 @@ scheduler's demand pruning — a warm store must skip the expensive
 upstream stages entirely.
 """
 
+import gc
 import json
 import os
 
@@ -18,7 +19,7 @@ from repro.runtime import store as runtime_store
 from repro.runtime.artifacts import (INSTANCE_CODEC, JSON_CODEC,
                                      SIMRUN_CODEC, SimRun)
 from repro.runtime.graph import Runtime, StageGraph
-from repro.runtime.stages import REGISTRY, canonical, get_stage
+from repro.runtime.stages import REGISTRY, Stage, canonical, get_stage
 from repro.runtime.store import ArtifactStore, JsonCodec, artifact_key
 from repro.core.config import SunderConfig
 from repro.sim.reports import ReportRecorder
@@ -324,3 +325,58 @@ class TestRuntimeExecute:
         assert misses.labels(stage="table1_row").value == 1
         assert hits.labels(stage="table1_row").value == 1
         assert registry.get("repro_runtime_stage_seconds") is not None
+
+
+class _StageFailed(Exception):
+    pass
+
+
+def _gc_probe(params):
+    if params.get("fail"):
+        raise _StageFailed()
+    return gc.isenabled()
+
+
+@pytest.fixture
+def gc_probe_stage(monkeypatch):
+    """An uncached stage that reports (or fails instead of reporting)
+    whether the cyclic collector is on while it runs."""
+    monkeypatch.setitem(REGISTRY, "gc_probe", Stage("gc_probe", _gc_probe))
+    was_enabled = gc.isenabled()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+class TestRuntimeCollector:
+    """Runtime.execute pauses the cyclic collector and restores it."""
+
+    def test_waves_run_paused_and_restore_on_return(self, gc_probe_stage):
+        gc.enable()
+        graph = StageGraph()
+        probe = graph.task("gc_probe")
+        results = Runtime(store=ArtifactStore()).execute(graph)
+        assert results[probe] is False
+        assert gc.isenabled()
+
+    def test_restored_when_a_stage_raises(self, gc_probe_stage):
+        gc.enable()
+        graph = StageGraph()
+        graph.task("gc_probe", {"fail": True})
+        with pytest.raises(_StageFailed):
+            Runtime(store=ArtifactStore()).execute(graph)
+        assert gc.isenabled()
+
+    def test_caller_disabled_collector_stays_disabled(self, gc_probe_stage):
+        gc.disable()
+        graph = StageGraph()
+        graph.task("gc_probe")
+        Runtime(store=ArtifactStore()).execute(graph)
+        assert not gc.isenabled()
+        graph = StageGraph()
+        graph.task("gc_probe", {"fail": True})
+        with pytest.raises(_StageFailed):
+            Runtime(store=ArtifactStore()).execute(graph)
+        assert not gc.isenabled()

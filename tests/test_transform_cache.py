@@ -100,9 +100,15 @@ class TestMemoryTier:
     def test_outer_miss_wins_over_inner_hits(self):
         nib = to_nibbles(single_pattern("pat", b"abcd"))
         square(nib)  # populate the inner square entry
-        stride(nib, 2)  # outer stride misses, inner square hits
+
+        def outer():
+            return square(nib)
+
+        hits = _stats()["memory_hits"]
+        transform_cache.memoize("outer", nib, outer)  # outer misses ...
+        assert _stats()["memory_hits"] == hits + 1  # ... inner square hits
         assert not last_call_was_hit()
-        stride(nib, 2)
+        transform_cache.memoize("outer", nib, outer)
         assert last_call_was_hit()
 
 
@@ -118,6 +124,42 @@ class TestDiskTier:
         second = to_rate(a, 4)
         assert _stats()["disk_hits"] > 0
         assert first.dumps() == second.dumps()
+
+    def test_one_entry_per_pipeline_stage(self, tmp_path, monkeypatch):
+        directory = str(tmp_path)
+        cache = transform_cache.configure(directory=directory)
+        ops = []
+        put = transform_cache.TransformCache.put
+
+        def recording_put(self, key, automaton, op="?"):
+            ops.append(op)
+            put(self, key, automaton, op=op)
+
+        monkeypatch.setattr(transform_cache.TransformCache, "put",
+                            recording_put)
+        source = single_pattern("pat", b"hello world")
+        first = to_rate(source, 4)
+        # stride squares through the kernel: its intermediate machines
+        # get no cache entry of their own.
+        assert ops == ["nibble", "stride"]
+        entries = [name for name in os.listdir(directory)
+                   if not name.startswith("marker-")]
+        nib = to_nibbles(source)
+        assert sorted(entries) == sorted(
+            cache.key(op, machine, **params) + ".json"
+            for op, machine, params in (
+                ("nibble", source, {"minimized": True, "name": None}),
+                ("stride", nib, {"factor": 4, "minimized": True})))
+        assert cache.key("square", nib, minimized=False,
+                         name=None) + ".json" not in entries
+        # A new process on the same directory is served by the stride
+        # entry.
+        transform_cache.configure(directory=directory)
+        second = to_rate(source, 4)
+        assert last_call_was_hit()
+        assert _stats()["disk_hits"] == 2
+        assert ops == ["nibble", "stride"]
+        assert second.dumps() == first.dumps()
 
     def test_atomic_write_leaves_no_temp_files(self, tmp_path):
         transform_cache.configure(directory=str(tmp_path))
