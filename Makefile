@@ -3,7 +3,7 @@
 PYTHON ?= python
 SCALE ?= 0.02
 
-.PHONY: install test bench bench-engine bench-transform bench-runtime bench-device bench-batch bench-prefilter bench-exec bench-scale bench-check repro scorecard scorecard-paper profile-smoke docs clean
+.PHONY: install test bench bench-engine bench-transform bench-runtime bench-device bench-batch bench-prefilter bench-exec bench-scale bench-check repro scorecard scorecard-paper profile-smoke perfbench-smoke docs clean
 
 install:
 	$(PYTHON) setup.py develop
@@ -66,6 +66,11 @@ scorecard-paper:
 
 profile-smoke:
 	$(PYTHON) scripts/check_metrics_schema.py
+
+# Smoke test of the end-to-end benchmark (perfbench/): every workload,
+# traced and untraced, against its stored references; about a minute.
+perfbench-smoke:
+	$(PYTHON) perfbench/smoke.py
 
 docs:
 	$(PYTHON) scripts/generate_api_docs.py

@@ -36,20 +36,22 @@ table without re-executing the expensive stages.  Unless
 ``--transform-cache`` names its own directory, the transform cache
 piggybacks on ``DIR/transforms``.
 
-The global ``--device-fidelity {auto,literal,packed}`` flag selects the
-:class:`~repro.core.device.SunderDevice` execution path for ``match``
-and the device-bearing experiments (table4, figure10): ``packed`` runs
-the bitmask-compiled kernel, ``literal`` the bit-level oracle (see
-docs/performance.md).
+``match --device-fidelity {auto,literal,packed}`` selects the
+:class:`~repro.core.device.SunderDevice` execution path (``packed`` runs
+the bitmask-compiled kernel, ``literal`` the bit-level oracle; see
+docs/performance.md); ``match --prefilter`` gates the scan behind the
+two-stage literal prefilter, and ``--hotcold-coverage FRAC`` adds the
+hot/cold split.  The three flags are checked together as one
+device-target :class:`~repro.exec.ExecutionPlan`, so a combination the
+plan rejects exits with the plan's message before anything runs.
 
-The global ``--plan {auto,<json>}`` flag names the whole execution
-strategy for the stage-graph experiments (table1, table4) as one
-:class:`~repro.exec.ExecutionPlan` value: ``auto`` (the default) maps
-the legacy ``--batch``/``--shards``/``--prefilter``/
-``--hotcold-coverage``/``--device-fidelity`` flags onto a plan, an
-inline JSON document pins one exactly (and then conflicts with the
-legacy flags).  ``repro plan explain <patterns>`` shows the plan the
-auto-planner would pick and why (see docs/architecture.md).
+``experiment --plan {auto,<json>}`` names the whole execution strategy
+of the stage-graph experiments (table1, table4) as one
+:class:`~repro.exec.ExecutionPlan` document: ``auto`` (the default)
+runs the serial engine, an inline JSON document such as
+``'{"shards":2,"v":1}'`` pins one exactly.  ``repro plan explain
+<patterns>`` shows the plan the auto-planner would pick and why (see
+docs/architecture.md).
 """
 
 import argparse
@@ -60,7 +62,7 @@ from . import experiments, obs
 from .automata import anml, mnrl
 from .automata.viz import outline, to_dot
 from .core import SunderConfig, SunderDevice
-from .errors import ReproError
+from .errors import ArchitectureError, ReproError
 from .regex import compile_ruleset
 from .runtime import store as runtime_store
 from .sim import stream_for
@@ -87,12 +89,29 @@ def cmd_compile(args):
     return 0
 
 
+def _match_plan(args):
+    """The device-target plan ``match``'s strategy flags name.
+
+    Building it validates the flags together, so contradictory ones
+    (``--hotcold-coverage`` without ``--prefilter``, literal fidelity
+    with ``--prefilter``) exit with the plan's message up front.
+    """
+    from .exec import ExecutionPlan
+    try:
+        return ExecutionPlan(target="device", fidelity=args.device_fidelity,
+                             prefilter=args.prefilter,
+                             hotcold_coverage=args.hotcold_coverage)
+    except (ValueError, ArchitectureError) as error:
+        raise SystemExit("match: %s" % error)
+
+
 def cmd_match(args):
+    plan = _match_plan(args)
     source = _build_ruleset(args.patterns)
     machine = to_rate(source, args.rate)
     device = SunderDevice(SunderConfig(rate_nibbles=args.rate,
                                        report_bits=args.report_bits),
-                          fidelity=args.device_fidelity)
+                          fidelity=plan.fidelity)
     device.configure(machine)
     if args.text is not None:
         data = args.text.encode()
@@ -103,12 +122,12 @@ def cmd_match(args):
     # the 4-bit machines every rate produces); derive the per-byte
     # divisor from the configured geometry instead of hardcoding it.
     positions_per_byte = 8 // machine.bits
-    if args.prefilter:
+    if plan.prefilter:
         from .prefilter import build_prefilter, gated_device_run
         prefilter = build_prefilter(source)
         recorder = gated_device_run(device, machine, data, source=source,
                                     prefilter=prefilter,
-                                    hotcold_coverage=args.hotcold_coverage)
+                                    hotcold_coverage=plan.hotcold_coverage)
         events = sorted(recorder.events, key=lambda e: e.position)
         for event in events:
             print("%d\t%s" % (event.position // positions_per_byte,
@@ -149,42 +168,26 @@ _SCALED_EXPERIMENTS = ("table1", "table3", "table4", "figure8", "scorecard")
 #: Experiments whose entry points fan out through ParallelRunner.
 _PARALLEL_EXPERIMENTS = ("table1", "table3", "table4",
                          "figure8", "figure9", "figure10", "scorecard")
-#: Experiments whose stage graphs carry the device-fidelity knob.
-_FIDELITY_EXPERIMENTS = ("table4", "figure10")
-#: Experiments whose simulate stages accept --batch/--shards.
-_BATCH_EXPERIMENTS = ("table1", "table4")
-#: Experiments whose simulate stages accept --prefilter/--hotcold-coverage.
-_PREFILTER_EXPERIMENTS = ("table1", "table4")
 #: Experiments whose entry points take one ExecutionPlan value.
 _PLAN_EXPERIMENTS = ("table1", "table4")
 
 
-def _experiment_plan(args):
-    """One :class:`~repro.exec.ExecutionPlan` from the strategy flags.
+def _experiment_plan(text):
+    """The ``--plan`` value as an :class:`~repro.exec.ExecutionPlan`.
 
-    ``--plan auto`` (the default) maps the legacy knobs onto a plan via
-    :meth:`ExecutionPlan.from_flags`, so contradictory flags fail with
-    the plan-level messages; an explicit ``--plan <json>`` pins the plan
-    exactly and conflicts with any non-default legacy knob.
+    ``auto`` gives None (the serial default).  A malformed document, or
+    one naming a strategy the simulate stages cannot run, exits with a
+    ``--plan:`` message before the graph is declared.
     """
-    from .exec import ExecutionPlan, resolve_plan
+    from .exec import resolve_plan
+    from .runtime.stages import stage_plan
     try:
-        explicit = resolve_plan(args.plan)
-    except ValueError as error:
+        plan = resolve_plan(text)
+        if plan is not None:
+            stage_plan({"plan": plan.param_payload()})
+    except (ValueError, ArchitectureError) as error:
         raise SystemExit("--plan: %s" % error)
-    legacy = (args.batch != 1 or args.shards != 1 or args.prefilter
-              or args.hotcold_coverage is not None
-              or args.device_fidelity != "auto")
-    if explicit is not None:
-        if legacy:
-            raise SystemExit(
-                "--plan conflicts with --batch/--shards/--prefilter/"
-                "--hotcold-coverage/--device-fidelity; encode the "
-                "strategy in the plan document instead")
-        return explicit
-    return ExecutionPlan.from_flags(
-        batch=args.batch, shards=args.shards, prefilter=args.prefilter,
-        hotcold=args.hotcold_coverage, fidelity=args.device_fidelity)
+    return plan
 
 
 def cmd_experiment(args):
@@ -196,24 +199,10 @@ def cmd_experiment(args):
     if args.name in _PARALLEL_EXPERIMENTS:
         kwargs["workers"] = args.workers
     if args.name in _PLAN_EXPERIMENTS:
-        # The whole strategy surface (batch/shards/prefilter/hotcold/
-        # fidelity) rides on one plan value for these experiments.
-        kwargs["plan"] = _experiment_plan(args)
-        module.main(**kwargs)
-        return 0
-    if args.plan != "auto":
+        kwargs["plan"] = _experiment_plan(args.plan)
+    elif args.plan != "auto":
         raise SystemExit(
             "--plan applies only to: %s" % ", ".join(_PLAN_EXPERIMENTS))
-    if args.name in _FIDELITY_EXPERIMENTS:
-        kwargs["fidelity"] = args.device_fidelity
-    if args.batch != 1 or args.shards != 1:
-        raise SystemExit(
-            "--batch/--shards apply only to: %s"
-            % ", ".join(_BATCH_EXPERIMENTS))
-    if args.prefilter or args.hotcold_coverage is not None:
-        raise SystemExit(
-            "--prefilter/--hotcold-coverage apply only to: %s"
-            % ", ".join(_PREFILTER_EXPERIMENTS))
     module.main(**kwargs)
     return 0
 
@@ -426,21 +415,14 @@ def _run_observed(func, args, metrics_out, trace_out, summarize):
     return code
 
 
-#: Root-parser flags (and their defaults) that ``profile`` forwards to
-#: the wrapped command: the wrapped argv starts at the subcommand, so
-#: flags given before ``profile`` only exist on the outer namespace.
-_ROOT_FLAG_DEFAULTS = {
-    "transform_cache": None,
-    "artifact_dir": None,
-    "device_fidelity": "auto",
-    "prefilter": False,
-    "hotcold_coverage": None,
-    "plan": "auto",
-}
-
-
 def cmd_profile(args):
-    """Re-parse the wrapped command and run it under a collector."""
+    """Re-parse the wrapped command and run it under a collector.
+
+    Root flags given before ``profile`` (the store directories) were
+    already applied by :func:`main`; the wrapped argv starts at the
+    subcommand, so only store flags written after ``profile`` remain to
+    apply here.
+    """
     argv = list(args.argv)
     if argv and argv[0] == "--":
         argv = argv[1:]
@@ -452,9 +434,6 @@ def cmd_profile(args):
     if inner.func is cmd_profile:
         print("error: profile cannot wrap itself", file=sys.stderr)
         return 2
-    for name, default in _ROOT_FLAG_DEFAULTS.items():
-        if getattr(inner, name) == default:
-            setattr(inner, name, getattr(args, name))
     _apply_store_flags(inner)
     return _run_observed(
         inner.func, inner,
@@ -489,13 +468,6 @@ def _add_observability_flags(parser):
                         help="collect spans and write a Chrome trace file")
 
 
-def _shard_count(text):
-    """argparse type for ``--shards``: a positive int or ``auto``."""
-    if text == "auto":
-        return text
-    return int(text)
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -510,27 +482,6 @@ def build_parser():
         help="persist stage-graph artifacts (workloads, simulation "
              "runs, result rows) in DIR (also: REPRO_ARTIFACT_DIR); "
              "the transform cache defaults to DIR/transforms")
-    parser.add_argument(
-        "--device-fidelity", default="auto",
-        choices=["auto", "literal", "packed"],
-        help="SunderDevice execution path: 'packed' compiles the "
-             "programmed subarrays into integer bitmasks (fast), "
-             "'literal' keeps the bit-level oracle; 'auto' picks packed")
-    parser.add_argument(
-        "--prefilter", action="store_true",
-        help="gate execution behind the two-stage literal prefilter "
-             "(DFC-style direct filter; bit-exact reports, unfilterable "
-             "rulesets bypass — see docs/performance.md)")
-    parser.add_argument(
-        "--hotcold-coverage", type=float, default=None, metavar="FRAC",
-        help="with --prefilter, also record the hot/cold state split at "
-             "the given activity coverage (e.g. 0.9)")
-    parser.add_argument(
-        "--plan", default="auto", metavar="PLAN",
-        help="execution plan for the stage-graph experiments: 'auto' "
-             "maps the legacy strategy flags onto one, or an inline "
-             "repro-exec-plan JSON document (table1/table4 only; see "
-             "'repro plan explain')")
     commands = parser.add_subparsers(dest="command", required=True)
 
     compile_parser = commands.add_parser(
@@ -550,6 +501,21 @@ def build_parser():
     match_parser.add_argument("--rate", type=int, default=4,
                               choices=[1, 2, 4])
     match_parser.add_argument("--report-bits", type=int, default=16)
+    match_parser.add_argument(
+        "--device-fidelity", default="auto",
+        choices=["auto", "literal", "packed"],
+        help="SunderDevice execution path: 'packed' compiles the "
+             "programmed subarrays into integer bitmasks (fast), "
+             "'literal' keeps the bit-level oracle; 'auto' picks packed")
+    match_parser.add_argument(
+        "--prefilter", action="store_true",
+        help="gate execution behind the two-stage literal prefilter "
+             "(DFC-style direct filter; bit-exact reports, unfilterable "
+             "rulesets bypass — see docs/performance.md)")
+    match_parser.add_argument(
+        "--hotcold-coverage", type=float, default=None, metavar="FRAC",
+        help="with --prefilter, also record the hot/cold state split at "
+             "the given activity coverage (e.g. 0.9)")
     _add_observability_flags(match_parser)
     match_parser.set_defaults(func=cmd_match)
 
@@ -569,14 +535,11 @@ def build_parser():
         help="fan benchmark evaluations across N processes "
              "(0 = all cores; default: serial)")
     experiment_parser.add_argument(
-        "--batch", type=int, default=1, metavar="N",
-        help="run the simulate stages as N interleaved lanes of one "
-             "engine pass (bit-exact; table1/table4 only)")
-    experiment_parser.add_argument(
-        "--shards", type=_shard_count, default=1, metavar="K",
-        help="split each simulate stage's stream into K overlap-replayed "
-             "blocks, or 'auto' to size by stream length with a serial "
-             "fallback below the threshold (bit-exact; table1/table4 only)")
+        "--plan", default="auto", metavar="PLAN",
+        help="execution plan for the simulate stages: 'auto' (serial "
+             "engine) or an inline repro-exec-plan JSON document such as "
+             "'{\"shards\":2,\"v\":1}' (table1/table4 only; see "
+             "'repro plan explain')")
     _add_observability_flags(experiment_parser)
     experiment_parser.set_defaults(func=cmd_experiment)
 

@@ -12,9 +12,8 @@ into a single validated, serializable value:
   (``"device"``).
 - **kernel / fidelity** — the engine's successor kernel and the
   device's execution fidelity (each target ignores the other's knob).
-- **batch_layout / batch / shards** — the aggregate-throughput axes:
-  multi-stream lane layout, interleaved-lane count, and shard count
-  for one long stream.
+- **batch / shards** — the single-stream throughput axes: interleaved-
+  lane count and shard count for one long stream.
 - **prefilter / hotcold_coverage** — two-stage literal gating and the
   optional hot/cold split recording.
 - **step_cache** — LRU step-cache capacity (``None`` keeps each
@@ -38,7 +37,7 @@ import json
 
 from ..core.packed import FIDELITIES, resolve_fidelity
 from ..errors import ArchitectureError
-from ..sim.engine import BATCH_LAYOUTS, _KERNELS
+from ..sim.engine import _KERNELS
 
 #: Serialization format tag and version; bump the version whenever plan
 #: semantics change so salted artifact keys never alias across releases.
@@ -54,7 +53,6 @@ _DEFAULTS = (
     ("target", "engine"),
     ("kernel", "auto"),
     ("fidelity", "auto"),
-    ("batch_layout", "auto"),
     ("batch", 1),
     ("shards", 1),
     ("prefilter", False),
@@ -66,13 +64,12 @@ _DEFAULTS = (
 class ExecutionPlan:
     """One validated execution strategy (see the module docstring)."""
 
-    __slots__ = ("target", "kernel", "fidelity", "batch_layout", "batch",
-                 "shards", "prefilter", "hotcold_coverage", "step_cache",
-                 "reasons")
+    __slots__ = ("target", "kernel", "fidelity", "batch", "shards",
+                 "prefilter", "hotcold_coverage", "step_cache", "reasons")
 
     def __init__(self, target="engine", kernel="auto", fidelity="auto",
-                 batch_layout="auto", batch=1, shards=1, prefilter=False,
-                 hotcold_coverage=None, step_cache=None, reasons=None):
+                 batch=1, shards=1, prefilter=False, hotcold_coverage=None,
+                 step_cache=None, reasons=None):
         # --- value validation (ValueError: the field itself is bad) ----
         if target not in TARGETS:
             raise ValueError(
@@ -84,10 +81,6 @@ class ExecutionPlan:
             raise ValueError(
                 "plan fidelity must be one of %r, got %r"
                 % (FIDELITIES, fidelity))
-        if batch_layout not in BATCH_LAYOUTS:
-            raise ValueError(
-                "plan batch_layout must be one of %r, got %r"
-                % (BATCH_LAYOUTS, batch_layout))
         if not isinstance(batch, int) or isinstance(batch, bool) or batch < 1:
             raise ValueError(
                 "plan batch must be an int >= 1, got %r" % (batch,))
@@ -139,7 +132,6 @@ class ExecutionPlan:
         self.target = target
         self.kernel = kernel
         self.fidelity = fidelity
-        self.batch_layout = batch_layout
         self.batch = batch
         self.shards = shards
         self.prefilter = prefilter
@@ -248,23 +240,6 @@ class ExecutionPlan:
             raise ValueError("undecodable plan text: %s" % error)
         return cls.from_payload(payload)
 
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_flags(cls, batch=1, shards=1, prefilter=False, hotcold=None,
-                   fidelity="auto", target="engine", kernel="auto"):
-        """Build a plan from the legacy CLI/experiment knobs.
-
-        The one mapping point between the pre-plan flag surface
-        (``--batch``/``--shards``/``--prefilter``/``--hotcold-coverage``/
-        ``--device-fidelity``) and the plan value; the same validation
-        applies, so contradictory flags fail here with the plan-level
-        messages.
-        """
-        return cls(target=target, kernel=kernel, fidelity=fidelity,
-                   batch=int(batch) if batch != "auto" else 1,
-                   shards=shards, prefilter=bool(prefilter),
-                   hotcold_coverage=hotcold)
-
     @property
     def strategy(self):
         """Headline strategy name ("gated"/"sharded"/"batch"/"serial")."""
@@ -272,7 +247,7 @@ class ExecutionPlan:
             return "gated"
         if self.shards == "auto" or self.shards > 1:
             return "sharded"
-        if self.batch > 1 or self.batch_layout != "auto":
+        if self.batch > 1:
             return "batch"
         return "serial"
 

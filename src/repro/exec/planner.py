@@ -81,8 +81,6 @@ class Planner:
         fields = {}
         if stream_count > 1:
             choose("strategy", "batch", "multi-stream")
-            choose("batch_layout", "auto",
-                   "lane layout is the benchmarked default")
         elif traits.filterable and not traits.cyclic:
             choose("strategy", "gated", "filterable-acyclic")
             fields["prefilter"] = True

@@ -141,8 +141,7 @@ class Session:
         recorders = [ReportRecorder(keep_events=True, position_limit=limit)
                      for _, limit in lanes]
         if len(datas) > 1:
-            engine.run_batch([vectors for vectors, _ in lanes], recorders,
-                             batch_layout=plan.batch_layout)
+            engine.run_batch([vectors for vectors, _ in lanes], recorders)
         elif datas:
             vectors = lanes[0][0]
             if plan.shards == "auto" or plan.shards > 1:

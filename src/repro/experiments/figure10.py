@@ -27,19 +27,13 @@ COLUMNS = [
 ]
 
 
-def define(graph, sweep, config, fidelity="auto"):
-    """Declare one ``figure10_point`` task per sweep percentage.
-
-    ``fidelity`` salts the stage params (device-fidelity knob) so
-    packed/literal sweeps never alias in a shared artifact store.
-    """
-    return [graph.task("figure10_point",
-                       {"pct": pct, "config": config, "fidelity": fidelity})
+def define(graph, sweep, config):
+    """Declare one ``figure10_point`` task per sweep percentage."""
+    return [graph.task("figure10_point", {"pct": pct, "config": config})
             for pct in sweep]
 
 
-def run(sweep=SWEEP_PCTS, config=None, workers=1, runtime=None,
-        fidelity="auto"):
+def run(sweep=SWEEP_PCTS, config=None, workers=1, runtime=None):
     """Evaluate the sweep; returns result rows.
 
     ``workers`` fans the sweep points out across a process pool
@@ -50,7 +44,7 @@ def run(sweep=SWEEP_PCTS, config=None, workers=1, runtime=None,
     if runtime is None:
         runtime = Runtime(workers=workers)
     graph = StageGraph()
-    tasks = define(graph, sweep, config, fidelity=fidelity)
+    tasks = define(graph, sweep, config)
     results = runtime.execute(graph, targets=tasks)
     return [results[task] for task in tasks]
 
@@ -65,8 +59,8 @@ def render(rows):
 
 
 @instrumented_experiment("figure10")
-def main(workers=1, fidelity="auto"):
+def main(workers=1):
     """Run and print."""
-    rows = run(workers=workers, fidelity=fidelity)
+    rows = run(workers=workers)
     print(render(rows))
     return rows

@@ -14,6 +14,7 @@ across ``workers`` processes with byte-identical output.
 """
 
 from ..runtime import Runtime, StageGraph
+from ..runtime.stages import stage_plan
 from ..workloads.registry import BENCHMARK_NAMES
 from ..obs import instrumented_experiment
 from .formatting import format_table
@@ -44,81 +45,54 @@ def select_names(names, experiment):
     return chosen
 
 
-def simulation_params(base, batch=1, shards=1, prefilter=False,
-                      hotcold=None, plan=None):
-    """Simulate-stage params with the execution strategy salted in.
+def simulation_params(base, plan=None):
+    """Simulate-stage params with the execution ``plan`` salted in.
 
-    ``batch``/``shards``/``prefilter``/``hotcold`` join the params only
-    when enabled, so plain serial runs keep their pre-existing artifact
-    keys (warm stores stay warm) while batched/sharded/gated runs are
-    content-addressed separately.
-
-    An explicit ``plan`` (:class:`~repro.exec.ExecutionPlan`) replaces
-    the legacy knobs entirely: its :meth:`param_payload` joins the params
-    only when non-default, following the same key-salting rule, and
-    passing non-default legacy knobs alongside it is an error.
+    The plan's :meth:`~repro.exec.ExecutionPlan.param_payload` joins the
+    params only when non-default, so default runs keep their
+    pre-existing artifact keys (warm stores stay warm) while planned
+    runs are content-addressed separately.  The params are read back
+    through :func:`~repro.runtime.stages.stage_plan` here, so a plan no
+    stage can run fails when the graph is declared, not mid-run.
     """
     params = dict(base)
-    if plan is not None:
-        if (int(batch) > 1 or shards == "auto" or int(shards) > 1
-                or prefilter or hotcold is not None):
-            raise ValueError(
-                "simulation_params: pass either plan= or the legacy "
-                "batch/shards/prefilter/hotcold knobs, not both")
-        payload = plan.param_payload()
-        if payload:
-            params["plan"] = payload
-        return params
-    if batch and int(batch) > 1:
-        params["batch"] = int(batch)
-    if shards == "auto":
-        params["shards"] = "auto"
-    elif shards and int(shards) > 1:
-        params["shards"] = int(shards)
-    if prefilter:
-        params["prefilter"] = True
-        if hotcold is not None:
-            params["hotcold"] = float(hotcold)
+    payload = plan.param_payload() if plan is not None else {}
+    if payload:
+        params["plan"] = payload
+    stage_plan(params)
     return params
 
 
-def define(graph, scale, seed, names, batch=1, shards=1, prefilter=False,
-           hotcold=None, plan=None):
+def define(graph, scale, seed, names, plan=None):
     """Declare Table 1's stages; returns the per-benchmark row tasks."""
     rows = []
     for name in names:
         gen = graph.task("generate",
                          {"name": name, "scale": scale, "seed": seed})
         sim = graph.task("simulate8",
-                         simulation_params({"name": name}, batch, shards,
-                                           prefilter, hotcold, plan=plan),
+                         simulation_params({"name": name}, plan),
                          deps=[gen])
         rows.append(graph.task("table1_row", {"name": name},
                                deps=[gen, sim]))
     return rows
 
 
-def run(scale=0.02, seed=0, names=None, workers=1, runtime=None,
-        batch=1, shards=1, prefilter=False, hotcold=None, plan=None):
+def run(scale=0.02, seed=0, names=None, workers=1, runtime=None, plan=None):
     """Simulate the suite; returns the list of result rows.
 
     ``workers`` fans the stage executions out across a process pool
     (0 = all cores); rows come back in suite order regardless.  Pass a
     shared ``runtime`` to deduplicate stages with other experiments.
-    ``batch``/``shards`` pick the engine execution strategy for the
-    simulate stages (bit-exact either way; see docs/performance.md);
-    ``prefilter`` gates them behind the two-stage literal prefilter
-    (reports stay bit-exact, active-state statistics are skipped on
-    gated runs), and ``hotcold`` additionally records the hot/cold
-    state split at the given activity coverage.  An explicit ``plan``
-    (:class:`~repro.exec.ExecutionPlan`) supersedes those knobs.
+    ``plan`` (an :class:`~repro.exec.ExecutionPlan`) picks the simulate
+    stages' engine strategy: sharded, interleaved-batch and
+    prefilter-gated runs all report bit-exactly (see
+    docs/performance.md); gated runs skip the active-state statistics.
     """
     chosen = select_names(names, "table1.run")
     if runtime is None:
         runtime = Runtime(workers=workers)
     graph = StageGraph()
-    tasks = define(graph, scale, seed, chosen, batch=batch, shards=shards,
-                   prefilter=prefilter, hotcold=hotcold, plan=plan)
+    tasks = define(graph, scale, seed, chosen, plan=plan)
     results = runtime.execute(graph, targets=tasks)
     return [results[task] for task in tasks]
 
@@ -129,11 +103,8 @@ def render(rows):
 
 
 @instrumented_experiment("table1")
-def main(scale=0.02, seed=0, workers=1, batch=1, shards=1, prefilter=False,
-         hotcold=None, plan=None):
+def main(scale=0.02, seed=0, workers=1, plan=None):
     """Run and print (entry point used by the benchmark harness)."""
-    rows = run(scale=scale, seed=seed, workers=workers,
-               batch=batch, shards=shards, prefilter=prefilter,
-               hotcold=hotcold, plan=plan)
+    rows = run(scale=scale, seed=seed, workers=workers, plan=plan)
     print(render(rows))
     return rows

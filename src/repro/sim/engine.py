@@ -66,16 +66,6 @@ EAGER_SLICE_STATES = 512
 
 _KERNELS = ("auto", "sliced", "scan")
 
-#: Accepted ``batch_layout`` values for :meth:`BitsetEngine.run_batch`.
-#: ``"lanes"`` keeps one active int per lane; ``"wide"`` packs every
-#: lane into a single wide int at a padded-state-count stride.  Both
-#: share the step cache per lane (each lane consumes its own input
-#: vector, so there is no cross-lane work to share); benchmarking shows
-#: the lane list wins — the wide int pays extract/insert shifts on an
-#: ever-growing integer for no algorithmic gain — so ``"auto"`` selects
-#: ``"lanes"`` (see docs/performance.md).
-BATCH_LAYOUTS = ("auto", "lanes", "wide")
-
 #: ``run_sharded(shards="auto")`` falls back to the serial path below
 #: this stream length (in vector cycles): the documented pathological
 #: pool case (0.05-0.15x at scale 0.01, docs/performance.md) is exactly
@@ -86,14 +76,6 @@ AUTO_SHARD_MIN_CYCLES = 1 << 16
 #: Shard count ``"auto"`` picks for in-process (no runner) sharding of
 #: streams above the threshold.
 AUTO_SHARD_DEFAULT = 4
-
-
-def _resolve_layout(batch_layout):
-    if batch_layout not in BATCH_LAYOUTS:
-        raise SimulationError(
-            "unknown batch_layout %r (choose from %s)"
-            % (batch_layout, BATCH_LAYOUTS))
-    return "lanes" if batch_layout == "auto" else batch_layout
 
 
 class BitsetEngine:
@@ -495,8 +477,7 @@ class BitsetEngine:
     # ------------------------------------------------------------------
     # Batched multi-stream execution
     # ------------------------------------------------------------------
-    def run_batch(self, streams, recorders=None, position_limit=None,
-                  batch_layout="auto"):
+    def run_batch(self, streams, recorders=None, position_limit=None):
         """Drive N independent streams through the automaton in one pass.
 
         Each lane behaves exactly as a fresh :meth:`run` over its stream
@@ -507,11 +488,7 @@ class BitsetEngine:
         of once per stream.  Returns the list of per-lane recorders;
         per-lane active-count histories land in ``self.lane_histories``
         and the engine's own streaming state is reset afterwards.
-
-        ``batch_layout`` selects the active-mask representation (see
-        :data:`BATCH_LAYOUTS`); ``"auto"`` picks the benchmarked winner.
         """
-        layout = _resolve_layout(batch_layout)
         lane_vectors = [_normalize_stream(self.automaton, stream)
                         for stream in streams]
         if recorders is None:
@@ -524,28 +501,24 @@ class BitsetEngine:
         histories = (None if self._history_limit == 0
                      else [self._new_history() for _ in lane_vectors])
         if OBS.active:
-            self._run_batch_observed(lane_vectors, recorders, layout,
-                                     histories)
+            self._run_batch_observed(lane_vectors, recorders, histories)
         else:
-            self._execute_lanes(lane_vectors, recorders, layout,
-                                histories=histories)
+            self._execute_lanes(lane_vectors, recorders, histories=histories)
         self.lane_histories = histories if histories is not None else []
         self.reset()
         return recorders
 
-    def _run_batch_observed(self, lane_vectors, recorders, layout,
-                            histories):
+    def _run_batch_observed(self, lane_vectors, recorders, histories):
         """`run_batch` with the telemetry hooks live."""
         handles = OBS.instruments.engine_handles("bitset")
         reports_before = sum(r.total_reports for r in recorders)
         total_cycles = sum(len(vectors) for vectors in lane_vectors)
         with trace_span("engine.run_batch", engine="bitset",
                         automaton=self.automaton.name,
-                        lanes=len(lane_vectors), cycles=total_cycles,
-                        layout=layout):
+                        lanes=len(lane_vectors), cycles=total_cycles):
             start = perf_counter()
             lane_hits, lane_misses = self._execute_lanes(
-                lane_vectors, recorders, layout, histories=histories)
+                lane_vectors, recorders, histories=histories)
             elapsed = perf_counter() - start
         # Lane-for-lane parity with N serial runs: counters move by the
         # same amounts a loop of run() calls would move them.
@@ -565,8 +538,8 @@ class BitsetEngine:
                 for count in history:
                     observe_active(count)
 
-    def _execute_lanes(self, lane_vectors, recorders, layout,
-                       start_cycles=None, record_from=None, histories=None):
+    def _execute_lanes(self, lane_vectors, recorders, start_cycles=None,
+                       record_from=None, histories=None):
         """The batched hot loop: N lanes, one shared step cache.
 
         ``start_cycles`` gives each lane's absolute first cycle (shard
@@ -592,12 +565,6 @@ class BitsetEngine:
         enabled_from = self._enabled_from
         match_mask = self.match_mask
         report_plan = self._report_plan
-        wide = 0
-        stride = lane_mask = 0
-        if layout == "wide":
-            # Lane stride: state count padded to whole 8-bit blocks.
-            stride = ((self._size + 7) & ~7) or 8
-            lane_mask = (1 << self._size) - 1
         actives = [0] * count
         lane_hits = [0] * count
         lane_misses = [0] * count
@@ -610,11 +577,7 @@ class BitsetEngine:
                 cycle = start_cycles[lane] + index
                 phase = (2 if cycle == 0 else
                          1 if cycle % period == 0 else 0)
-                if layout == "wide":
-                    shift = lane * stride
-                    active = (wide >> shift) & lane_mask
-                else:
-                    active = actives[lane]
+                active = actives[lane]
                 if cache is not None:
                     key = (active, vector, phase)
                     cached = cache_get(key)
@@ -636,10 +599,7 @@ class BitsetEngine:
                     active = enabled_from(active, phase) & match_mask(vector)
                     plan = (report_plan(active & report_mask)
                             if active & report_mask else ())
-                if layout == "wide":
-                    wide = (wide & ~(lane_mask << shift)) | (active << shift)
-                else:
-                    actives[lane] = active
+                actives[lane] = active
                 if cycle >= record_from[lane]:
                     if plan:
                         recorder = recorders[lane]
@@ -749,14 +709,14 @@ class BitsetEngine:
         start_cycles = [start_cycle for _, start_cycle, _ in blocks]
         record_from = [record for _, _, record in blocks]
         if interleave:
-            self._execute_lanes(lane_vectors, parts, "lanes",
+            self._execute_lanes(lane_vectors, parts,
                                 start_cycles=start_cycles,
                                 record_from=record_from,
                                 histories=histories)
         else:
             for index in range(len(blocks)):
                 self._execute_lanes(
-                    [lane_vectors[index]], [parts[index]], "lanes",
+                    [lane_vectors[index]], [parts[index]],
                     start_cycles=[start_cycles[index]],
                     record_from=[record_from[index]],
                     histories=[histories[index]] if histories else None)
@@ -818,7 +778,7 @@ class BitsetEngine:
             self._run_windows_observed(lane_vectors, parts, start_cycles,
                                        record_from, total_cycles)
         else:
-            self._execute_lanes(lane_vectors, parts, "lanes",
+            self._execute_lanes(lane_vectors, parts,
                                 start_cycles=start_cycles,
                                 record_from=record_from)
         for part in parts:
@@ -839,7 +799,7 @@ class BitsetEngine:
                         total_cycles=total_cycles):
             start = perf_counter()
             lane_hits, lane_misses = self._execute_lanes(
-                lane_vectors, parts, "lanes", start_cycles=starts,
+                lane_vectors, parts, start_cycles=starts,
                 record_from=record_from)
             elapsed = perf_counter() - start
         handles.runs.inc()
@@ -928,8 +888,7 @@ def _shard_job(job):
                           position_limit=position_limit)
     history = [] if keep_history else None
     engine._execute_lanes(
-        [vectors], [part], "lanes",
-        start_cycles=[start_cycle], record_from=[record_from],
+        [vectors], [part], start_cycles=[start_cycle], record_from=[record_from],
         histories=[history] if keep_history else None)
     return part.to_payload(), history
 

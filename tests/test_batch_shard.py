@@ -1,13 +1,13 @@
 """Differential suite for batched and sharded execution.
 
-Every fast-path strategy — ``BitsetEngine.run_batch`` (both lane
-layouts), ``BitsetEngine.run_sharded`` (sequential and interleaved,
+Every fast-path strategy — ``BitsetEngine.run_batch``,
+``BitsetEngine.run_sharded`` (sequential and interleaved,
 in-process and through a worker pool), ``SunderDevice.run_batch``, and
 the multi-round batch path — must be *bit-exact* against the plain
 serial run: identical recorder payloads (event order included) and
 identical active-count histories.  The artifact-keying tests pin that
-``batch``/``shards`` salt the simulate-stage keys while plain runs keep
-their pre-existing keys.
+plans with ``batch``/``shards`` salt the simulate-stage keys while plain
+runs keep their pre-existing keys.
 """
 
 import random
@@ -47,11 +47,17 @@ def _serial_payloads(automaton, lane_streams, limit=None):
     return payloads, histories
 
 
+#: Per-case stream seed offsets.  The ids predate the single lane
+#: layout and are kept so the test ids stay stable.
+SEED_OFFSETS = pytest.mark.parametrize("seed_offset", [5, 4],
+                                       ids=["lanes", "auto"])
+
+
 @pytest.mark.parametrize("rate", [1, 2, 4])
-@pytest.mark.parametrize("layout", ["lanes", "wide", "auto"])
+@SEED_OFFSETS
 class TestEngineBatchDifferential:
-    def test_batch_matches_serial_runs(self, rate, layout):
-        rng = random.Random(100 * rate + len(layout))
+    def test_batch_matches_serial_runs(self, rate, seed_offset):
+        rng = random.Random(100 * rate + seed_offset)
         machine = to_rate(compile_ruleset(RULES), rate) if rate > 1 else \
             compile_ruleset(RULES)
         lanes = rng.randint(2, 7)
@@ -63,14 +69,13 @@ class TestEngineBatchDifferential:
         expected, histories = _serial_payloads(machine, lane_streams, limit)
 
         engine = BitsetEngine(machine)
-        recorders = engine.run_batch(lane_streams, position_limit=limit,
-                                     batch_layout=layout)
+        recorders = engine.run_batch(lane_streams, position_limit=limit)
         assert [r.to_payload() for r in recorders] == expected
         assert [list(h) for h in engine.lane_histories] == histories
         assert any(p["total_reports"] for p in expected)
 
-    def test_batch_with_caller_recorders(self, rate, layout):
-        rng = random.Random(rate + len(layout))
+    def test_batch_with_caller_recorders(self, rate, seed_offset):
+        rng = random.Random(rate + seed_offset)
         machine = to_rate(compile_ruleset(RULES[:3]), rate) if rate > 1 \
             else compile_ruleset(RULES[:3])
         lane_streams = []
@@ -80,18 +85,13 @@ class TestEngineBatchDifferential:
             lane_streams.append(vectors)
         expected, _ = _serial_payloads(machine, lane_streams, limit)
         recorders = [ReportRecorder(position_limit=limit) for _ in range(3)]
-        out = BitsetEngine(machine).run_batch(
-            lane_streams, recorders=recorders, batch_layout=layout)
+        out = BitsetEngine(machine).run_batch(lane_streams,
+                                              recorders=recorders)
         assert out is recorders
         assert [r.to_payload() for r in recorders] == expected
 
 
 class TestEngineBatchEdges:
-    def test_unknown_layout_rejected(self, abc_automaton):
-        with pytest.raises(SimulationError):
-            BitsetEngine(abc_automaton).run_batch(
-                [[97]], batch_layout="diagonal")
-
     def test_recorder_count_mismatch_rejected(self, abc_automaton):
         with pytest.raises(SimulationError):
             BitsetEngine(abc_automaton).run_batch(
@@ -104,7 +104,7 @@ class TestEngineBatchEdges:
         recorders = engine.run_batch(streams)
         assert [r.to_payload() for r in recorders] == expected
 
-    def test_random_automata_both_layouts(self):
+    def test_random_automata(self):
         rng = random.Random(777)
         for trial in range(6):
             machine = random_automaton(rng, n_states=rng.randint(4, 12))
@@ -112,11 +112,8 @@ class TestEngineBatchEdges:
                 [rng.randrange(256) for _ in range(rng.randint(0, 60))]
                 for _ in range(rng.randint(1, 5))]
             expected, _ = _serial_payloads(machine, streams)
-            for layout in ("lanes", "wide"):
-                recorders = BitsetEngine(machine).run_batch(
-                    streams, batch_layout=layout)
-                assert [r.to_payload() for r in recorders] == expected, \
-                    (trial, layout)
+            recorders = BitsetEngine(machine).run_batch(streams)
+            assert [r.to_payload() for r in recorders] == expected, trial
 
 
 @pytest.mark.parametrize("interleave", [True, False])
@@ -246,12 +243,14 @@ class TestShardFallbacksAndPool:
 
     def test_auto_shards_stage_param_bit_exact(self):
         """``shards="auto"`` flows through the experiment stage params."""
+        from repro.exec import ExecutionPlan
         from repro.experiments.table1 import simulation_params
         from repro.runtime.stages import canonical, get_stage
         from repro.workloads import generate
 
-        params = simulation_params({"name": "ExactMatch"}, shards="auto")
-        assert params["shards"] == "auto"
+        params = simulation_params({"name": "ExactMatch"},
+                                   ExecutionPlan(shards="auto"))
+        assert params["plan"]["shards"] == "auto"
         assert canonical(params) != canonical({"name": "ExactMatch"})
         instance = generate("ExactMatch", 0.002, 0)
         sim8 = get_stage("simulate8").func
@@ -375,12 +374,14 @@ class TestDepthBound:
 
 class TestStageKeysAndCache:
     def test_batch_and_shards_salt_simulate_keys(self):
+        from repro.exec import ExecutionPlan
         from repro.experiments import table1
         from repro.runtime import StageGraph
 
-        def sim_key(**kwargs):
+        def sim_key(**fields):
             graph = StageGraph()
-            table1.define(graph, 0.002, 0, ["Snort"], **kwargs)
+            table1.define(graph, 0.002, 0, ["Snort"],
+                          plan=ExecutionPlan(**fields))
             [sim] = [task for task in graph.order
                      if task.stage.name == "simulate8"]
             return sim.key
@@ -393,13 +394,15 @@ class TestStageKeysAndCache:
 
     def test_warm_store_hits_for_same_batch_params(self, tmp_path):
         from repro import obs
+        from repro.exec import ExecutionPlan
         from repro.experiments import table1
         from repro.runtime import Runtime, StageGraph
         from repro.runtime import store as runtime_store
 
         def run_simulate(batch):
             graph = StageGraph()
-            table1.define(graph, 0.002, 0, ["Snort"], batch=batch)
+            table1.define(graph, 0.002, 0, ["Snort"],
+                          plan=ExecutionPlan(batch=batch))
             [sim] = [task for task in graph.order
                      if task.stage.name == "simulate8"]
             results = Runtime().execute(graph, targets=[sim])
@@ -428,10 +431,12 @@ class TestStageKeysAndCache:
         assert misses.labels(stage="simulate8").value == 1
 
     def test_experiment_rows_identical_across_strategies(self):
+        from repro.exec import ExecutionPlan
         from repro.experiments import table1
-        plain = table1.run(scale=0.002, seed=0, names=["Snort", "SPM"])
-        batched = table1.run(scale=0.002, seed=0, names=["Snort", "SPM"],
-                             batch=4)
-        sharded = table1.run(scale=0.002, seed=0, names=["Snort", "SPM"],
-                             shards=3)
+        names = ["Snort", "SPM"]
+        plain = table1.run(scale=0.002, seed=0, names=names)
+        batched = table1.run(scale=0.002, seed=0, names=names,
+                             plan=ExecutionPlan(batch=4))
+        sharded = table1.run(scale=0.002, seed=0, names=names,
+                             plan=ExecutionPlan(shards=3))
         assert plain == batched == sharded

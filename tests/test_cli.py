@@ -156,21 +156,86 @@ class TestProfile:
         assert main(["profile", "experiment", "table5"]) == 0
         assert not OBS.active
 
-    def test_profile_forwards_root_flags(self, tmp_path):
+    def test_profile_forwards_root_flags(self, tmp_path, capsys):
         """Root flags before ``profile`` reach the wrapped command.
 
         ``profile`` re-parses its wrapped argv, which starts at the
-        subcommand — ``--prefilter`` given before ``profile`` must be
-        copied onto the inner namespace or the gated run silently runs
-        ungated.
+        subcommand, so ``--artifact-dir`` given before ``profile`` only
+        exists on the outer namespace; the wrapped run must still
+        persist its stage artifacts there.
         """
+        from repro.runtime import store as runtime_store
+        from repro.transform import cache as transform_cache
+
+        store_dir = tmp_path / "artifacts"
+        try:
+            assert main(["--artifact-dir", str(store_dir), "profile",
+                         "experiment", "table1", "--scale", "0.002"]) == 0
+        finally:
+            runtime_store.configure()
+            transform_cache.configure()
+        assert "Snort" in capsys.readouterr().out
+        assert any(path.is_file() for path in store_dir.rglob("*"))
+
+    def test_profile_gated_match(self, tmp_path, capsys):
+        """``profile match --prefilter`` runs the gated scan."""
         import json
 
         metrics = tmp_path / "m.json"
-        assert main(["--prefilter", "profile", "match", "needle",
-                     "--text", "xxxneedleyy",
+        assert main(["profile", "match", "needle", "--prefilter",
+                     "--hotcold-coverage", "0.9", "--text", "xxxneedleyy",
                      "--metrics-out", str(metrics)]) == 0
+        assert capsys.readouterr().out == "8\tneedle\n"
         snapshot = json.loads(metrics.read_text())
         by_name = {m["name"]: m for m in snapshot["metrics"]}
         scanned = by_name["repro_prefilter_scan_bytes_total"]["samples"]
         assert scanned and scanned[0]["value"] > 0
+
+
+class TestStrategyFlags:
+    """``experiment --plan`` and ``match``'s flags are the only strategy
+    inputs; each is validated as one :class:`ExecutionPlan`."""
+
+    PLAIN = ["experiment", "table1", "--scale", "0.002"]
+
+    def test_experiment_plan_output_matches_plain_run(self, capsys):
+        assert main(self.PLAIN) == 0
+        plain = capsys.readouterr().out
+        assert main(self.PLAIN + ["--plan", '{"shards":2,"v":1}']) == 0
+        assert capsys.readouterr().out == plain
+
+    @pytest.mark.parametrize("text", ["{oops", '{"shards":0,"v":1}',
+                                      '{"batch_layout":"wide","v":1}'])
+    def test_malformed_plan_exits(self, text):
+        with pytest.raises(SystemExit, match="^--plan: "):
+            main(self.PLAIN + ["--plan", text])
+
+    def test_device_target_plan_exits(self):
+        with pytest.raises(SystemExit, match="^--plan: .*engine target"):
+            main(self.PLAIN + ["--plan", '{"target":"device","v":1}'])
+
+    def test_plan_rejected_on_other_experiments(self):
+        with pytest.raises(SystemExit, match="applies only to"):
+            main(["experiment", "table5", "--plan", '{"shards":2,"v":1}'])
+
+    @pytest.mark.parametrize("argv", [
+        ["experiment", "table4", "--batch", "4"],
+        ["experiment", "table1", "--shards", "2"],
+        ["--prefilter", "experiment", "table1"],
+        ["--device-fidelity", "packed", "experiment", "table4"],
+        ["--plan", '{"shards":2,"v":1}', "experiment", "table1"],
+    ])
+    def test_removed_strategy_flags_are_usage_errors(self, argv):
+        with pytest.raises(SystemExit) as error:
+            main(argv)
+        assert error.value.code == 2
+
+    def test_match_hotcold_requires_prefilter(self):
+        with pytest.raises(SystemExit, match="^match: .*requires prefilter"):
+            main(["match", "needle", "--text", "xxneedle",
+                  "--hotcold-coverage", "0.9"])
+
+    def test_match_literal_fidelity_cannot_gate(self):
+        with pytest.raises(SystemExit, match="^match: .*packed fidelity"):
+            main(["match", "needle", "--text", "xxneedle", "--prefilter",
+                  "--device-fidelity", "literal"])

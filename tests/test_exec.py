@@ -216,7 +216,7 @@ class TestPlanValidation:
         {"target": "gpu"},
         {"kernel": "vectorized"},
         {"fidelity": "exact"},
-        {"batch_layout": "diagonal"},
+        {"shards": 2.0},
         {"batch": 0},
         {"batch": True},
         {"batch": 2.0},
@@ -338,15 +338,6 @@ class TestPlanSerialization:
         with pytest.raises(ValueError):
             resolve_plan(3.5)
 
-    def test_from_flags_maps_the_legacy_surface(self):
-        plan = ExecutionPlan.from_flags(shards="auto", prefilter=False)
-        assert plan.shards == "auto" and plan.strategy == "sharded"
-        plan = ExecutionPlan.from_flags(prefilter=True, hotcold=0.9)
-        assert plan.prefilter and plan.hotcold_coverage == 0.9
-        assert plan.strategy == "gated"
-        with pytest.raises(ArchitectureError):
-            ExecutionPlan.from_flags(prefilter=True, fidelity="literal")
-
     def test_reasons_are_advisory_and_never_serialized(self):
         plan = ExecutionPlan(shards=2, reasons=[
             {"choice": "strategy", "value": "sharded", "reason": "test"}])
@@ -458,18 +449,34 @@ class TestPlanner:
 class TestStagePlumbing:
 
     def test_stage_plan_prefers_the_plan_param(self):
-        from repro.runtime.stages import _stage_plan
+        from repro.runtime.stages import stage_plan
         plan = ExecutionPlan(shards="auto", prefilter=False)
-        assert _stage_plan({"plan": plan.param_payload()}) == plan
-        assert _stage_plan({}) == DEFAULT_PLAN
-        legacy = _stage_plan({"batch": 4})
-        assert legacy.batch == 4
+        assert stage_plan({"plan": plan.param_payload()}) == plan
+        assert stage_plan({}) == DEFAULT_PLAN
+        # The plan param is the only strategy input: loose keys are inert.
+        assert stage_plan({"batch": 4, "prefilter": True}) == DEFAULT_PLAN
 
     def test_default_plan_keeps_simulation_params_unchanged(self):
         from repro.experiments.table1 import simulation_params
         base = {"name": "Snort"}
+        assert simulation_params(base) == base
         assert simulation_params(base, plan=DEFAULT_PLAN) == base
         salted = simulation_params(base, plan=ExecutionPlan(shards="auto"))
         assert salted["plan"] == {"shards": "auto", "v": PLAN_VERSION}
-        with pytest.raises(ValueError, match="not both"):
-            simulation_params(base, batch=4, plan=DEFAULT_PLAN)
+
+    def test_device_target_plan_has_no_stage_path(self):
+        """A device plan fails loudly instead of running the engine."""
+        from repro.experiments import table1
+        from repro.runtime import StageGraph
+        from repro.runtime.stages import get_stage, stage_plan
+        from repro.workloads import generate
+
+        plan = ExecutionPlan(target="device")
+        params = {"name": "ExactMatch", "plan": plan.param_payload()}
+        with pytest.raises(ArchitectureError, match="engine target"):
+            stage_plan(params)
+        instance = generate("ExactMatch", 0.002, 0)
+        with pytest.raises(ArchitectureError, match="engine target"):
+            get_stage("simulate8").func(params, instance)
+        with pytest.raises(ArchitectureError, match="engine target"):
+            table1.define(StageGraph(), 0.002, 0, ["ExactMatch"], plan=plan)

@@ -222,26 +222,35 @@ def test_hotcold_savings_recorded():
 
 
 def test_gated_stage_params_salt_keys():
-    """prefilter/hotcold join simulate-stage params only when enabled."""
+    """A gating plan joins simulate-stage params only when enabled."""
+    from repro.exec import ExecutionPlan
     from repro.experiments.table1 import simulation_params
-    plain = simulation_params({"name": "x"})
-    assert "prefilter" not in plain and "hotcold" not in plain
-    gated = simulation_params({"name": "x"}, prefilter=True, hotcold=0.9)
-    assert gated["prefilter"] is True
-    assert gated["hotcold"] == 0.9
     from repro.runtime.stages import canonical
+    plain = simulation_params({"name": "x"}, ExecutionPlan())
+    assert "plan" not in plain
+    gated = simulation_params(
+        {"name": "x"}, ExecutionPlan(prefilter=True, hotcold_coverage=0.9))
+    assert gated["plan"]["prefilter"] is True
+    assert gated["plan"]["hotcold_coverage"] == 0.9
     assert canonical(plain) != canonical(gated)
 
 
 def test_gated_stages_match_ungated_reports():
     """simulate8/simulate_strided emit identical events under the gate."""
+    from repro.exec import ExecutionPlan
     from repro.runtime.stages import get_stage
     from repro.workloads import generate
 
+    gate = ExecutionPlan(prefilter=True).param_payload()
+    gate_hotcold = ExecutionPlan(prefilter=True,
+                                 hotcold_coverage=0.9).param_payload()
     instance = generate("ExactMatch", 0.005, 3)
     sim8 = get_stage("simulate8").func
     plain8 = sim8({"name": "ExactMatch"}, instance)
-    gated8 = sim8({"name": "ExactMatch", "prefilter": True}, instance)
+    gated8 = sim8({"name": "ExactMatch", "plan": gate}, instance)
+    # The plan param really gated the run: a gated pass keeps no
+    # active-state statistics.
+    assert plain8.max_active_states > 0 and gated8.max_active_states == 0
     assert gated8.recorder.events == plain8.recorder.events
     assert gated8.cycles == plain8.cycles
 
@@ -250,7 +259,6 @@ def test_gated_stages_match_ungated_reports():
     plain = sim_strided({"name": "ExactMatch", "rate": 4}, instance,
                         strided)
     gated = sim_strided({"name": "ExactMatch", "rate": 4,
-                         "prefilter": True, "hotcold": 0.9}, instance,
-                        strided)
+                         "plan": gate_hotcold}, instance, strided)
     assert gated.recorder.events == plain.recorder.events
     assert gated.cycles == plain.cycles
