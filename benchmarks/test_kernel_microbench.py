@@ -63,9 +63,11 @@ def test_nibble_transform_speed(benchmark):
 def test_instrumentation_overhead_when_unattached():
     """The repro.obs hooks must be near-free with no collector attached.
 
-    Compares the shipping (instrumented) ``BitsetEngine.run`` against an
-    uninstrumented replica of its pre-telemetry loop and requires the
-    min-of-N slowdown to stay under the documented 5% budget.
+    Compares the shipping (instrumented) ``BitsetEngine.run`` against
+    its uninstrumented core — stream normalization, ``reset()`` and the
+    engine's one per-cycle loop called directly — and requires the
+    min-of-N slowdown to stay under the documented 5% budget.  The two
+    are timed alternately so host drift hits both sides alike.
     """
     import timeit
 
@@ -82,20 +84,20 @@ def test_instrumentation_overhead_when_unattached():
         return engine.run(data)
 
     def baseline():
-        # verbatim pre-instrumentation run() body
         recorder = ReportRecorder()
         engine.reset()
-        for vector in _normalize_stream(engine.automaton, data):
-            engine.step(vector, recorder)
+        engine._execute(_normalize_stream(engine.automaton, data), recorder,
+                        engine.active_count_history)
         return recorder
 
     assert instrumented().total_reports == baseline().total_reports
 
-    def best_of(func, repeats=7):
-        return min(timeit.repeat(func, number=1, repeat=repeats))
-
-    best_of(instrumented, repeats=2)  # warm-up
-    slowdown = best_of(instrumented) / best_of(baseline)
+    best_instrumented = best_baseline = float("inf")
+    for _ in range(9):
+        best_instrumented = min(best_instrumented,
+                                timeit.timeit(instrumented, number=1))
+        best_baseline = min(best_baseline, timeit.timeit(baseline, number=1))
+    slowdown = best_instrumented / best_baseline
     assert slowdown < 1.05, (
         "instrumented BitsetEngine.run is %.3fx the uninstrumented loop "
         "(budget: 1.05x)" % slowdown

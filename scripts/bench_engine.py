@@ -4,14 +4,12 @@ Usage:  python scripts/bench_engine.py [--scale S] [--repeats N]
                                        [--workers W] [--out PATH]
 
 For each calibrated workload the suite measures steady-state cycles/sec
-of three engine configurations:
+of two engine configurations:
 
-- ``baseline``       — ``kernel="scan", step_cache=0``: the pre-kernel
-  engine (per-active-bit successor loop, no memoization), kept as the
-  comparison anchor;
-- ``sliced``         — block-sliced successor tables, cache off;
-- ``sliced_cached``  — the shipping default (sliced kernel + LRU step
-  cache), with its measured cache hit rate.
+- ``baseline``  — ``step_cache=0``: the per-active-bit successor loop
+  with no memoization, kept as the comparison anchor;
+- ``cached``    — the shipping default (the same loop behind the LRU
+  step cache), with its measured cache hit rate.
 
 It also times the Table 1 harness serially vs through
 ``ParallelRunner`` and checks the rows are identical, then writes one
@@ -44,9 +42,8 @@ DEFAULT_WORKLOADS = ("Snort", "Brill", "SPM", "Bro217", "Fermi", "Hamming")
 
 #: The measured engine configurations, in presentation order.
 KERNEL_CONFIGS = (
-    ("baseline", {"kernel": "scan", "step_cache": 0}),
-    ("sliced", {"kernel": "sliced", "step_cache": 0}),
-    ("sliced_cached", {"kernel": "sliced"}),
+    ("baseline", {"step_cache": 0}),
+    ("cached", {}),
 )
 
 #: ``repro bench run --quick`` overrides: the baseline's scale (speedups
@@ -58,7 +55,7 @@ QUICK_PARAMS = {"scale": 0.01, "repeats": 1, "workers": 2,
 
 def _cycles_per_sec(engine, data, repeats):
     """(best cycles/sec, [worst, best] band) over ``repeats`` runs."""
-    engine.run(data)  # warm-up: fills lazy tables and the step cache
+    engine.run(data)  # warm-up: fills the step cache
     best = math.inf
     worst = 0.0
     for _ in range(repeats):
@@ -79,13 +76,12 @@ def bench_workload(name, scale, seed, repeats):
         engine = BitsetEngine(instance.automaton, **config)
         rate, band = _cycles_per_sec(engine, data, repeats)
         kernels[label] = {
-            "kernel": engine.kernel,
             "step_cache": engine._step_cache_limit,
             "cycles_per_sec": rate,
             "cycles_per_sec_band": band,
             "cache_hit_rate": engine.step_cache_info()["hit_rate"],
         }
-    cached = kernels["sliced_cached"]
+    cached = kernels["cached"]
     base = kernels["baseline"]
     return {
         "name": name,
@@ -231,13 +227,13 @@ def main(argv=None):
         json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
     for row in payload["workloads"]:
-        print("%-16s %8d states  baseline %10.0f c/s   sliced+cache "
+        print("%-16s %8d states  baseline %10.0f c/s   cached "
               "%10.0f c/s  (%.2fx, hit %.1f%%)" % (
                   row["name"], row["states"],
                   row["kernels"]["baseline"]["cycles_per_sec"],
-                  row["kernels"]["sliced_cached"]["cycles_per_sec"],
+                  row["kernels"]["cached"]["cycles_per_sec"],
                   row["speedup"],
-                  100 * row["kernels"]["sliced_cached"]["cache_hit_rate"]))
+                  100 * row["kernels"]["cached"]["cache_hit_rate"]))
     harness = payload["harness"]
     print("geomean speedup: %.2fx" % payload["geomean_speedup"])
     print("table1 harness: %.2fs serial -> %.2fs with %d workers" % (

@@ -8,9 +8,8 @@ through a planned :class:`~repro.exec.Session` twice per manual
 configuration and once auto-planned:
 
 - **manual configs** — every hand-pickable plan that is valid for the
-  family's machine: ``serial`` (the all-defaults plan), ``scan-nocache``
-  (the scan kernel with the step cache disabled — the reliably worst
-  choice), ``shards4`` (acyclic machines only), and ``gated`` (the
+  family's machine: ``serial`` (the all-defaults plan), ``nocache``
+  (the step cache disabled — the reliably worst choice), ``shards4`` (acyclic machines only), and ``gated`` (the
   literal prefilter; filterable machines only);
 - **auto** — a plan-free session, so the
   :class:`~repro.exec.Planner` picks the strategy from the machine's
@@ -78,7 +77,7 @@ def _manual_plans(traits):
     """Every hand-pickable plan that is valid for this machine."""
     plans = {
         "serial": ExecutionPlan(),
-        "scan-nocache": ExecutionPlan(kernel="scan", step_cache=0),
+        "nocache": ExecutionPlan(step_cache=0),
     }
     if traits.depth_bound is not None:
         plans["shards4"] = ExecutionPlan(shards=4)
@@ -233,8 +232,8 @@ def validate_payload(payload):
                  and auto.get("streams_per_sec", 0) > 0, "auto rate")
         configs = row.get("configs")
         _require(isinstance(configs, dict)
-                 and {"serial", "scan-nocache"} <= set(configs),
-                 "configs must include the serial and scan-nocache anchors")
+                 and {"serial", "nocache"} <= set(configs),
+                 "configs must include the serial and nocache anchors")
         for label, entry in configs.items():
             _require(entry.get("streams_per_sec", 0) > 0,
                      "configs[%s] streams_per_sec" % label)

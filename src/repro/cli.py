@@ -245,8 +245,7 @@ def _plan_explain(args):
     from .exec import Planner
     machine = _build_ruleset(patterns)
     planner = Planner(target=args.target)
-    plan, choices = planner.explain(machine, stream_count=args.streams,
-                                    stream_cycles=args.stream_bytes)
+    plan, choices = planner.explain(machine, stream_count=args.streams)
     print("plan: %s" % plan.dumps())
     for choice in choices:
         print("  %-12s %-10s %s" % (choice["choice"],
@@ -538,8 +537,9 @@ def build_parser():
         "--plan", default="auto", metavar="PLAN",
         help="execution plan for the simulate stages: 'auto' (serial "
              "engine) or an inline repro-exec-plan JSON document such as "
-             "'{\"shards\":2,\"v\":1}' (table1/table4 only; see "
-             "'repro plan explain')")
+             "'{\"shards\":2,\"v\":1}'; engine-target fields: shards, "
+             "prefilter, hotcold_coverage, step_cache (table1/table4 only; "
+             "see 'repro plan explain')")
     _add_observability_flags(experiment_parser)
     experiment_parser.set_defaults(func=cmd_experiment)
 
@@ -560,10 +560,6 @@ def build_parser():
     plan_parser.add_argument(
         "--streams", type=int, default=1, metavar="N",
         help="(explain) plan for N independent input streams")
-    plan_parser.add_argument(
-        "--stream-bytes", type=int, default=0, metavar="N",
-        help="(explain) plan for streams of N bytes (drives the "
-             "auto-shard threshold)")
     plan_parser.add_argument(
         "--target", default="engine", choices=["engine", "device"],
         help="(explain) plan for the functional engine or the device")

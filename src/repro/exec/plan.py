@@ -10,14 +10,14 @@ into a single validated, serializable value:
   :class:`~repro.sim.engine.BitsetEngine` (``"engine"``) or the
   hardware-faithful :class:`~repro.core.device.SunderDevice`
   (``"device"``).
-- **kernel / fidelity** — the engine's successor kernel and the
-  device's execution fidelity (each target ignores the other's knob).
-- **batch / shards** — the single-stream throughput axes: interleaved-
-  lane count and shard count for one long stream.
+- **fidelity** — the device's execution fidelity (the engine target
+  ignores it).
+- **shards** — the single-stream throughput axis: the shard count for
+  one long stream.
 - **prefilter / hotcold_coverage** — two-stage literal gating and the
   optional hot/cold split recording.
 - **step_cache** — LRU step-cache capacity (``None`` keeps each
-  kernel's default).
+  target's default).
 
 Construction validates the whole combination up front — bad *values*
 raise :class:`ValueError`, contradictory *combinations* raise
@@ -37,7 +37,6 @@ import json
 
 from ..core.packed import FIDELITIES, resolve_fidelity
 from ..errors import ArchitectureError
-from ..sim.engine import _KERNELS
 
 #: Serialization format tag and version; bump the version whenever plan
 #: semantics change so salted artifact keys never alias across releases.
@@ -51,9 +50,7 @@ TARGETS = ("engine", "device")
 #: emits exactly the fields that differ from these.
 _DEFAULTS = (
     ("target", "engine"),
-    ("kernel", "auto"),
     ("fidelity", "auto"),
-    ("batch", 1),
     ("shards", 1),
     ("prefilter", False),
     ("hotcold_coverage", None),
@@ -64,26 +61,20 @@ _DEFAULTS = (
 class ExecutionPlan:
     """One validated execution strategy (see the module docstring)."""
 
-    __slots__ = ("target", "kernel", "fidelity", "batch", "shards",
-                 "prefilter", "hotcold_coverage", "step_cache", "reasons")
+    __slots__ = ("target", "fidelity", "shards", "prefilter",
+                 "hotcold_coverage", "step_cache", "reasons")
 
-    def __init__(self, target="engine", kernel="auto", fidelity="auto",
-                 batch=1, shards=1, prefilter=False, hotcold_coverage=None,
-                 step_cache=None, reasons=None):
+    def __init__(self, target="engine", fidelity="auto", shards=1,
+                 prefilter=False, hotcold_coverage=None, step_cache=None,
+                 reasons=None):
         # --- value validation (ValueError: the field itself is bad) ----
         if target not in TARGETS:
             raise ValueError(
                 "plan target must be one of %r, got %r" % (TARGETS, target))
-        if kernel not in _KERNELS:
-            raise ValueError(
-                "plan kernel must be one of %r, got %r" % (_KERNELS, kernel))
         if fidelity not in FIDELITIES:
             raise ValueError(
                 "plan fidelity must be one of %r, got %r"
                 % (FIDELITIES, fidelity))
-        if not isinstance(batch, int) or isinstance(batch, bool) or batch < 1:
-            raise ValueError(
-                "plan batch must be an int >= 1, got %r" % (batch,))
         if shards != "auto" and (not isinstance(shards, int)
                                  or isinstance(shards, bool) or shards < 1):
             raise ValueError(
@@ -116,23 +107,17 @@ class ExecutionPlan:
                 "prefilter gating requires the packed fidelity (the "
                 "literal oracle has no window-replay form); drop "
                 "fidelity='literal' or prefilter")
-        if prefilter and (sharded or batch > 1):
+        if prefilter and sharded:
             raise ArchitectureError(
                 "prefilter gating plans its own replay windows; it cannot "
-                "be combined with shards/batch lane splitting")
-        if sharded and batch > 1:
+                "be combined with shard splitting")
+        if target == "device" and sharded:
             raise ArchitectureError(
-                "shards and batch are competing single-stream strategies; "
-                "set at most one of them above 1")
-        if target == "device" and (sharded or batch > 1):
-            raise ArchitectureError(
-                "the device target has no sharded/interleaved single-"
-                "stream path; shards/batch apply to the engine target")
+                "the device target has no sharded single-stream path; "
+                "shards apply to the engine target")
 
         self.target = target
-        self.kernel = kernel
         self.fidelity = fidelity
-        self.batch = batch
         self.shards = shards
         self.prefilter = prefilter
         self.hotcold_coverage = hotcold_coverage
@@ -161,11 +146,6 @@ class ExecutionPlan:
                 "replay needs a bounded depth (depth_bound() is None); use "
                 "shards='auto' for a serial fallback" % (self.shards,
                                                          traits.name))
-        if self.batch > 1 and traits.depth_bound is None:
-            raise ArchitectureError(
-                "batch=%d is invalid for cyclic machine %r: interleaved "
-                "lanes replay shard warm-up prefixes, which need a bounded "
-                "depth (depth_bound() is None)" % (self.batch, traits.name))
         return self
 
     # ------------------------------------------------------------------
@@ -242,13 +222,11 @@ class ExecutionPlan:
 
     @property
     def strategy(self):
-        """Headline strategy name ("gated"/"sharded"/"batch"/"serial")."""
+        """Headline strategy name ("gated"/"sharded"/"serial")."""
         if self.prefilter:
             return "gated"
         if self.shards == "auto" or self.shards > 1:
             return "sharded"
-        if self.batch > 1:
-            return "batch"
         return "serial"
 
     def __eq__(self, other):
@@ -268,7 +246,7 @@ class ExecutionPlan:
         return "ExecutionPlan(%s)" % (fields or "default")
 
 
-#: The all-defaults plan (serial engine run, benchmarked kernel).
+#: The all-defaults plan (serial engine run).
 DEFAULT_PLAN = ExecutionPlan()
 
 

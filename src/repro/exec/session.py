@@ -4,7 +4,7 @@
 explosion collapses into: construct it with an automaton (and
 optionally a plan — otherwise the :class:`~repro.exec.planner.Planner`
 picks one from the machine's traits and the first ``execute`` call's
-stream shape), then call ``execute(streams) -> [ReportRecorder]`` with
+stream count), then call ``execute(streams) -> [ReportRecorder]`` with
 raw byte streams.  The session owns stream conversion, position
 limits, compiled-artifact reuse (one engine / packed device kernel
 across calls), and the dispatch to the right run variant — every one
@@ -41,7 +41,7 @@ class Session:
     plan:
         An :class:`ExecutionPlan`, or None to let ``planner`` choose
         one from the machine's traits and the first ``execute`` call's
-        stream shape (the chosen plan is then bound for the session's
+        stream count (the chosen plan is then bound for the session's
         lifetime and readable as ``session.plan``).
     source:
         The 8-bit machine ``automaton`` was rate-transformed from;
@@ -97,10 +97,7 @@ class Session:
         planner = self._planner
         if planner is None:
             planner = self._planner = Planner()
-        cycles = max((stream_shape(self.automaton, data)[0]
-                      for data in datas), default=0)
-        plan = planner.plan(self.automaton, stream_count=max(1, len(datas)),
-                            stream_cycles=cycles)
+        plan = planner.plan(self.automaton, stream_count=max(1, len(datas)))
         return plan.validate_for(self.traits)
 
     # ------------------------------------------------------------------
@@ -111,8 +108,7 @@ class Session:
         if engine is None:
             step_cache = (DEFAULT_STEP_CACHE if plan.step_cache is None
                           else plan.step_cache)
-            engine = BitsetEngine(self.automaton, kernel=plan.kernel,
-                                  step_cache=step_cache)
+            engine = BitsetEngine(self.automaton, step_cache=step_cache)
             self._engine = engine
         return engine
 
@@ -145,11 +141,7 @@ class Session:
         elif datas:
             vectors = lanes[0][0]
             if plan.shards == "auto" or plan.shards > 1:
-                engine.run_sharded(vectors, plan.shards, recorders[0],
-                                   interleave=False)
-            elif plan.batch > 1:
-                engine.run_sharded(vectors, plan.batch, recorders[0],
-                                   interleave=True)
+                engine.run_sharded(vectors, plan.shards, recorders[0])
             else:
                 engine.run(vectors, recorders[0])
         return recorders

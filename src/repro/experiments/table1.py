@@ -84,8 +84,8 @@ def run(scale=0.02, seed=0, names=None, workers=1, runtime=None, plan=None):
     (0 = all cores); rows come back in suite order regardless.  Pass a
     shared ``runtime`` to deduplicate stages with other experiments.
     ``plan`` (an :class:`~repro.exec.ExecutionPlan`) picks the simulate
-    stages' engine strategy: sharded, interleaved-batch and
-    prefilter-gated runs all report bit-exactly (see
+    stages' engine strategy: sharded and prefilter-gated runs both
+    report bit-exactly (see
     docs/performance.md); gated runs skip the active-state statistics.
     """
     chosen = select_names(names, "table1.run")

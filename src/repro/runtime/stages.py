@@ -170,24 +170,21 @@ def stage_plan(params):
 
 
 def _stage_engine(automaton, plan):
-    """An engine honoring the plan's kernel/step-cache knobs."""
+    """An engine honoring the plan's step-cache capacity."""
     step_cache = (DEFAULT_STEP_CACHE if plan.step_cache is None
                   else plan.step_cache)
-    return BitsetEngine(automaton, kernel=plan.kernel, step_cache=step_cache)
+    return BitsetEngine(automaton, step_cache=step_cache)
 
 
 def _run_simulation(engine, vectors, recorder, plan):
     """Dispatch a stage simulation through the plan's engine strategy.
 
     ``shards=K`` splits the stream into K overlap-replayed blocks run
-    back to back; ``batch=N`` runs the same N blocks as interleaved
-    lanes of one pass (both are bit-exact vs ``engine.run``, pinned by
+    back to back (bit-exact vs ``engine.run``, pinned by
     tests/test_batch_shard.py).
     """
     if plan.shards == "auto" or plan.shards > 1:
-        engine.run_sharded(vectors, plan.shards, recorder, interleave=False)
-    elif plan.batch > 1:
-        engine.run_sharded(vectors, plan.batch, recorder, interleave=True)
+        engine.run_sharded(vectors, plan.shards, recorder)
     else:
         engine.run(vectors, recorder)
     return recorder

@@ -4,35 +4,29 @@ Two engines with identical semantics:
 
 - :class:`BitsetEngine` — production engine.  The active-state set is a
   Python int used as a bitmask and per-(position, symbol) match masks
-  are precomputed.  Successor propagation runs one of two kernels:
-
-  - ``"sliced"`` (default) — the state space is sliced into 8-bit
-    *blocks*; for each (block, byte-value) pair the OR of that block's
-    successor masks is table-driven, so one lookup covers up to eight
-    active states at once (the CAMA-style compaction argument: iterate
-    table entries, not states).
-  - ``"scan"`` — the original per-active-bit loop, kept as a fallback
-    and as a second differential-testing axis.
-
-  On top of either kernel sits an LRU *step cache* mapping
+  are precomputed.  Successor propagation ORs the successor mask of
+  each active bit.  On top of it sits an LRU *step cache* mapping
   ``(active_mask, vector, start-phase)`` to ``(next_active,
-  reporting_mask)`` — the calibrated benchmark streams revisit the same
+  report plan)`` — the calibrated benchmark streams revisit the same
   subset-construction states constantly (DFA-style subset caching), so
   most cycles collapse into one dictionary hit.
 - :class:`NaiveEngine` — direct set-of-states implementation kept as a
   differential-testing oracle.
 
-On top of the single-stream path sit two aggregate-throughput modes:
+Every execution path runs the same per-cycle loop,
+:meth:`BitsetEngine._execute`, once per stream segment:
 
-- :meth:`BitsetEngine.run_batch` drives N independent streams through
-  the compiled automaton in one pass (per-lane active masks, per-lane
-  recorders, one shared step cache — identical ``(active, vector,
-  phase)`` work is paid once per batch instead of once per stream);
-- :meth:`BitsetEngine.run_sharded` splits one long stream into blocks
+- :meth:`~BitsetEngine.run` and :meth:`~BitsetEngine.step` (one vector);
+- :meth:`~BitsetEngine.run_batch` drives N independent streams one
+  after another on the shared step cache, so identical ``(active,
+  vector, phase)`` work is paid once per batch instead of once per
+  stream;
+- :meth:`~BitsetEngine.run_sharded` splits one long stream into blocks
   whose warm-up overlap is bounded by
   :meth:`~repro.automata.automaton.Automaton.depth_bound` and stitches
   the block results bit-exact with the single-pass run (cyclic
-  machines, whose history is unbounded, fall back to the serial path).
+  machines, whose history is unbounded, fall back to the serial path);
+- :meth:`~BitsetEngine.run_window_lanes` replays prefilter windows.
 
 Cycle semantics (matching VASim and the paper's Figure 1):
 
@@ -42,7 +36,6 @@ Cycle semantics (matching VASim and the paper's Figure 1):
 3. every active reporting state emits one report per report offset.
 """
 
-from collections import deque
 from time import perf_counter
 
 from ..errors import SimulationError
@@ -57,14 +50,6 @@ _PROGRESS_CHUNK = 65536
 
 #: Default LRU step-cache capacity (entries); 0 disables the cache.
 DEFAULT_STEP_CACHE = 1 << 16
-
-#: Automata at or below this many states get their (block, byte) tables
-#: filled eagerly at construction; larger ones fill entries on first use
-#: so construction cost and memory stay proportional to what the stream
-#: actually exercises.
-EAGER_SLICE_STATES = 512
-
-_KERNELS = ("auto", "sliced", "scan")
 
 #: ``run_sharded(shards="auto")`` falls back to the serial path below
 #: this stream length (in vector cycles): the documented pathological
@@ -86,37 +71,21 @@ class BitsetEngine:
 
     Parameters
     ----------
-    kernel:
-        ``"sliced"`` (block-sliced successor tables), ``"scan"`` (the
-        per-active-bit loop), or ``"auto"`` (currently ``"sliced"``).
     step_cache:
         Capacity of the LRU step cache; ``0`` disables memoization.
         The cache survives :meth:`reset` — entries are pure functions
         of the automaton, so reuse across runs is sound and is where
         repeated-stream workloads win the most.
-    history_limit:
-        ``None`` (default) keeps the full per-cycle
-        ``active_count_history`` list as before; ``N > 0`` keeps a ring
-        buffer of the most recent ``N`` counts; ``0`` disables history
-        bookkeeping entirely (recommended for unbounded streaming use).
     """
 
-    def __init__(self, automaton, kernel="auto", step_cache=DEFAULT_STEP_CACHE,
-                 history_limit=None):
+    def __init__(self, automaton, step_cache=DEFAULT_STEP_CACHE):
         automaton.validate()
-        if kernel not in _KERNELS:
-            raise SimulationError(
-                "unknown kernel %r (choose from %s)" % (kernel, _KERNELS))
         if step_cache < 0:
             raise SimulationError("step_cache capacity must be >= 0")
-        if history_limit is not None and history_limit < 0:
-            raise SimulationError("history_limit must be None or >= 0")
         self.automaton = automaton
-        self.kernel = "sliced" if kernel == "auto" else kernel
         self._ids = automaton.state_ids()
         self._index = {state_id: i for i, state_id in enumerate(self._ids)}
         size = len(self._ids)
-        self._size = size
         self._start_period = automaton.start_period
 
         self._succ_mask = [0] * size
@@ -148,61 +117,14 @@ class BitsetEngine:
                 for value in sset:
                     column[value] |= bit
 
-        if self.kernel == "sliced":
-            self._build_block_tables()
-
         self._step_cache_limit = step_cache
         self._step_cache = {} if step_cache else None
         self._cache_hits = 0
         self._cache_misses = 0
-        self._history_limit = history_limit
         #: Per-lane active-count histories of the last :meth:`run_batch`
-        #: (or in-process :meth:`run_sharded`) call; empty otherwise.
+        #: call; empty otherwise.
         self.lane_histories = []
         self.reset()
-
-    def _build_block_tables(self):
-        """Slice the state space into 8-bit blocks of successor ORs.
-
-        ``_block_tables[b][v]`` is the OR of the successor masks of the
-        states in block ``b`` whose bit is set in byte-value ``v``.
-        Small automata are filled eagerly (with the subset-doubling
-        recurrence ``table[v] = table[v without lowest bit] | succ``);
-        large ones leave entries as ``None`` to be filled on first use.
-        """
-        succ = self._succ_mask
-        n_blocks = (self._size + 7) >> 3
-        self._block_clear = [~(0xFF << (b << 3)) for b in range(n_blocks)]
-        tables = []
-        if self._size <= EAGER_SLICE_STATES:
-            for block in range(n_blocks):
-                base = block << 3
-                width = min(8, self._size - base)
-                table = [0] * 256
-                for value in range(1, 1 << width):
-                    low = value & -value
-                    table[value] = (table[value ^ low]
-                                    | succ[base + low.bit_length() - 1])
-                if width < 8:  # bits beyond the state space never occur
-                    for value in range(1 << width, 256):
-                        table[value] = table[value & ((1 << width) - 1)]
-                tables.append(table)
-        else:
-            tables = [[None] * 256 for _ in range(n_blocks)]
-        self._block_tables = tables
-
-    def _fill_block_entry(self, block, value):
-        """Lazily compute and store one (block, byte-value) table entry."""
-        succ = self._succ_mask
-        base = block << 3
-        entry = 0
-        bits = value
-        while bits:
-            low = bits & -bits
-            entry |= succ[base + low.bit_length() - 1]
-            bits ^= low
-        self._block_tables[block][value] = entry
-        return entry
 
     # ------------------------------------------------------------------
     def reset(self):
@@ -213,12 +135,7 @@ class BitsetEngine:
         """
         self._active = 0
         self._cycle = 0
-        self.active_count_history = self._new_history()
-
-    def _new_history(self):
-        """Fresh history container honoring ``history_limit``."""
-        limit = self._history_limit
-        return [] if limit is None else deque(maxlen=limit)
+        self.active_count_history = []
 
     @property
     def cycle(self):
@@ -230,7 +147,11 @@ class BitsetEngine:
         return [self._ids[i] for i in _iter_bits(self._active)]
 
     def step_cache_info(self):
-        """Cache statistics: hits/misses since construction, size, limit."""
+        """Cache statistics: hits/misses since construction, size, limit.
+
+        With the cache disabled (``step_cache=0``) no lookup happens,
+        so every path leaves ``hits == misses == 0``.
+        """
         lookups = self._cache_hits + self._cache_misses
         return {
             "hits": self._cache_hits,
@@ -240,50 +161,25 @@ class BitsetEngine:
             "limit": self._step_cache_limit,
         }
 
-    def _propagate(self, active):
-        """Successor-union of an active mask (start states excluded)."""
-        enabled = 0
-        if self.kernel == "sliced":
-            tables = self._block_tables
-            clear = self._block_clear
-            while active:
-                low = active & -active
-                block = (low.bit_length() - 1) >> 3
-                value = (active >> (block << 3)) & 0xFF
-                entry = tables[block][value]
-                if entry is None:
-                    entry = self._fill_block_entry(block, value)
-                enabled |= entry
-                active &= clear[block]
-        else:
-            succ = self._succ_mask
-            while active:
-                low = active & -active
-                enabled |= succ[low.bit_length() - 1]
-                active ^= low
-        return enabled
-
     def _enabled_from(self, active, phase):
         """Enabled mask as a pure function of ``(active, phase)``.
 
-        ``phase`` is the step-key phase: 2 = start-of-data cycle (both
-        start kinds self-enable), 1 = start-period boundary (all-input
-        starts only), 0 = mid-period.  Pure in its arguments so batch
-        lanes and shard replays — which never own ``self._cycle`` —
-        share one transition function with the streaming path.
+        The successor union of ``active``, plus the start states the
+        cycle's ``phase`` enables: 2 = start-of-data cycle (both start
+        kinds), 1 = start-period boundary (all-input starts only), 0 =
+        mid-period.
         """
-        enabled = self._propagate(active)
+        succ = self._succ_mask
+        enabled = 0
+        while active:
+            low = active & -active
+            enabled |= succ[low.bit_length() - 1]
+            active ^= low
         if phase:
             enabled |= self._all_input_mask
             if phase == 2:
                 enabled |= self._start_of_data_mask
         return enabled
-
-    def _enabled_mask(self):
-        cycle = self._cycle
-        phase = 2 if cycle == 0 else (1 if cycle % self._start_period == 0
-                                      else 0)
-        return self._enabled_from(self._active, phase)
 
     def match_mask(self, vector):
         """Bitmask of states whose symbols match ``vector``."""
@@ -312,110 +208,89 @@ class BitsetEngine:
                 plan.append((offset, state_id, code))
         return tuple(plan)
 
-    def _step_key(self, vector):
-        """Memoization key for the next step on ``vector``.
-
-        The phase component folds in everything :meth:`_enabled_mask`
-        reads besides the active mask: 2 = start-of-data cycle, 1 =
-        start-period boundary, 0 = mid-period cycle.
-        """
-        cycle = self._cycle
-        phase = 2 if cycle == 0 else (1 if cycle % self._start_period == 0
-                                      else 0)
-        return (self._active,
-                vector if type(vector) is tuple else tuple(vector),
-                phase)
-
     def step(self, vector, recorder=None):
         """Advance one cycle on ``vector``; returns the active bitmask."""
-        cache = self._step_cache
-        plan = None
-        if cache is not None:
-            key = self._step_key(vector)
-            cached = cache.get(key)
-            if cached is not None:
-                self._cache_hits += 1
-                del cache[key]  # LRU touch: re-insert at the newest end
-                cache[key] = cached
-                active, plan = cached
-            else:
-                self._cache_misses += 1
-                active = self._enabled_mask() & self.match_mask(vector)
-                plan = self._report_plan(active & self._report_mask)
-                if len(cache) >= self._step_cache_limit:
-                    cache.pop(next(iter(cache)))  # evict least recent
-                cache[key] = (active, plan)
-        else:
-            active = self._enabled_mask() & self.match_mask(vector)
-            if active & self._report_mask:
-                plan = self._report_plan(active & self._report_mask)
-        self._active = active
-        if plan and recorder is not None:
-            base = self._cycle * self.automaton.arity
-            for offset, state_id, code in plan:
-                recorder.record(base + offset, self._cycle, state_id, code)
-        if self._history_limit != 0:
-            self.active_count_history.append(_popcount(active))
+        vector = vector if type(vector) is tuple else tuple(vector)
+        self._active = self._execute((vector,), recorder,
+                                     self.active_count_history,
+                                     self._cycle, self._active)
         self._cycle += 1
-        return active
+        return self._active
 
-    def _execute(self, vectors, recorder):
-        """The hot run loop: :meth:`step` semantics with hoisted locals.
+    def _execute(self, vectors, recorder=None, history=None, start=0,
+                 active=0):
+        """The one per-cycle loop; returns the final active mask.
 
-        Bit-exact with calling :meth:`step` per vector (the differential
-        suite pins this); the win is skipping per-cycle attribute and
-        method lookups, and touching the LRU order only once the cache
-        is past half capacity (eviction precision only matters when an
-        eviction is actually near).
+        Every execution path calls it.  It executes ``vectors`` (tuples of the automaton's arity) from
+        absolute cycle ``start`` — phases derive from absolute cycles,
+        so start-period boundaries line up with a serial run — and the
+        active mask ``active``.  Reports go to ``recorder`` and
+        per-cycle active counts to the ``history`` list; either may be
+        None (shard and window warm-up replays record nothing).
+
+        Touches the LRU order only once the cache is past half capacity
+        (eviction precision only matters when an eviction is actually
+        near).  With the cache disabled every cycle computes its
+        transition and nothing is counted.
         """
         cache = self._step_cache
-        if cache is None:
-            for vector in vectors:
-                self.step(vector, recorder)
-            return
+        store = cache is not None
+        cache_get = cache.get if store else {}.get
         limit = self._step_cache_limit
         touch_floor = limit >> 1
         period = self._start_period
+        single_period = period == 1
         report_mask = self._report_mask
         arity = self.automaton.arity
-        history = (self.active_count_history
-                   if self._history_limit != 0 else None)
-        popcount = _popcount
-        cache_get = cache.get
+        enabled_from = self._enabled_from
+        match_mask = self.match_mask
+        report_plan = self._report_plan
         record = recorder.record if recorder is not None else None
-        active = self._active
-        cycle = self._cycle
+        append = history.append if history is not None else None
+        popcount = _popcount
         hits = misses = 0
-        single_period = period == 1
+        cycle = start
         for vector in vectors:
             phase = (2 if cycle == 0 else
                      1 if single_period or cycle % period == 0 else 0)
             key = (active, vector, phase)
             cached = cache_get(key)
             if cached is None:
-                misses += 1
-                nxt = self._enabled_from(active, phase) & self.match_mask(vector)
-                cached = (nxt, self._report_plan(nxt & report_mask))
-                if len(cache) >= limit:
-                    cache.pop(next(iter(cache)))
-                cache[key] = cached
+                nxt = enabled_from(active, phase) & match_mask(vector)
+                reporting = nxt & report_mask
+                cached = (nxt, report_plan(reporting) if reporting else ())
+                if store:
+                    misses += 1
+                    if len(cache) >= limit:
+                        cache.pop(next(iter(cache)))  # evict least recent
+                    cache[key] = cached
             else:
                 hits += 1
                 if len(cache) > touch_floor:
-                    del cache[key]
+                    del cache[key]  # LRU touch: re-insert at the newest end
                     cache[key] = cached
             active, plan = cached
             if plan and record is not None:
                 base = cycle * arity
                 for offset, state_id, code in plan:
                     record(base + offset, cycle, state_id, code)
-            if history is not None:
-                history.append(popcount(active))
+            if append is not None:
+                append(popcount(active))
             cycle += 1
-        self._active = active
-        self._cycle = cycle
         self._cache_hits += hits
         self._cache_misses += misses
+        return active
+
+    def _replay(self, vectors, start, record_from, recorder, history):
+        """Run a lane that starts mid-stream from an empty active mask.
+
+        ``vectors`` cover cycles ``[start, start + len(vectors))``.  The
+        cycles before ``record_from`` are a recorder-less warm-up that
+        only rebuilds the active mask; the rest are recorded.
+        """
+        split = record_from - start
+        active = self._execute(vectors[:split], start=start)
+        self._execute(vectors[split:], recorder, history, record_from, active)
 
     def run(self, stream, recorder=None, position_limit=None):
         """Execute a whole stream; returns the :class:`ReportRecorder` used.
@@ -427,8 +302,11 @@ class BitsetEngine:
             recorder = ReportRecorder(position_limit=position_limit)
         if OBS.active:  # single attribute check when no collector attached
             return self._run_observed(stream, recorder)
+        vectors = _normalize_stream(self.automaton, stream)
         self.reset()
-        self._execute(_normalize_stream(self.automaton, stream), recorder)
+        self._active = self._execute(vectors, recorder,
+                                     self.active_count_history)
+        self._cycle = len(vectors)
         return recorder
 
     def _run_observed(self, stream, recorder):
@@ -448,29 +326,32 @@ class BitsetEngine:
                         cycles=len(vectors)):
             start = perf_counter()
             self.reset()
-            # _execute keeps self._active/self._cycle across calls, so
-            # slicing the stream is bit-exact with one big call; the
-            # chunk boundary is where paper-scale runs report progress.
+            history = self.active_count_history
+            # The loop takes its start cycle and active mask, so slicing
+            # the stream is bit-exact with one big call; the chunk
+            # boundary is where paper-scale runs report progress.
             total = len(vectors)
             if total > _PROGRESS_CHUNK:
                 progress = ProgressReporter(
                     "simulate", total, detail=self.automaton.name)
                 for begin in range(0, total, _PROGRESS_CHUNK):
-                    self._execute(
-                        vectors[begin:begin + _PROGRESS_CHUNK], recorder)
+                    self._active = self._execute(
+                        vectors[begin:begin + _PROGRESS_CHUNK], recorder,
+                        history, begin, self._active)
                     progress.update(begin + _PROGRESS_CHUNK)
                 progress.finish()
             else:
-                self._execute(vectors, recorder)
+                self._active = self._execute(vectors, recorder, history)
+            self._cycle = total
             elapsed = perf_counter() - start
         handles.runs.inc()
-        handles.cycles.inc(len(vectors))
+        handles.cycles.inc(total)
         handles.reports.inc(recorder.total_reports - reports_before)
         handles.run_seconds.observe(elapsed)
         handles.cache_hits.inc(self._cache_hits - hits_before)
         handles.cache_misses.inc(self._cache_misses - misses_before)
         observe_active = handles.active_states.observe
-        for count in self.active_count_history:
+        for count in history:
             observe_active(count)
         return recorder
 
@@ -478,16 +359,16 @@ class BitsetEngine:
     # Batched multi-stream execution
     # ------------------------------------------------------------------
     def run_batch(self, streams, recorders=None, position_limit=None):
-        """Drive N independent streams through the automaton in one pass.
+        """Drive N independent streams through the automaton in one call.
 
         Each lane behaves exactly as a fresh :meth:`run` over its stream
         (the differential suite pins bit-exactness); lanes may have
-        different lengths — exhausted lanes freeze while the rest
-        continue.  The step cache is shared across lanes, so identical
-        ``(active, vector, phase)`` work is paid once per batch instead
-        of once per stream.  Returns the list of per-lane recorders;
-        per-lane active-count histories land in ``self.lane_histories``
-        and the engine's own streaming state is reset afterwards.
+        different lengths.  Lanes run one after another on the shared
+        step cache, so identical ``(active, vector, phase)`` work is
+        paid once per batch instead of once per stream.  Returns the
+        list of per-lane recorders; per-lane active-count histories land
+        in ``self.lane_histories`` and the engine's own streaming state
+        is reset afterwards.
         """
         lane_vectors = [_normalize_stream(self.automaton, stream)
                         for stream in streams]
@@ -498,13 +379,14 @@ class BitsetEngine:
             raise SimulationError(
                 "run_batch got %d recorders for %d streams"
                 % (len(recorders), len(lane_vectors)))
-        histories = (None if self._history_limit == 0
-                     else [self._new_history() for _ in lane_vectors])
+        histories = [[] for _ in lane_vectors]
         if OBS.active:
             self._run_batch_observed(lane_vectors, recorders, histories)
         else:
-            self._execute_lanes(lane_vectors, recorders, histories=histories)
-        self.lane_histories = histories if histories is not None else []
+            for vectors, recorder, history in zip(lane_vectors, recorders,
+                                                  histories):
+                self._execute(vectors, recorder, history)
+        self.lane_histories = histories
         self.reset()
         return recorders
 
@@ -512,14 +394,19 @@ class BitsetEngine:
         """`run_batch` with the telemetry hooks live."""
         handles = OBS.instruments.engine_handles("bitset")
         reports_before = sum(r.total_reports for r in recorders)
+        hits_before = self._cache_hits
+        misses_before = self._cache_misses
         total_cycles = sum(len(vectors) for vectors in lane_vectors)
         with trace_span("engine.run_batch", engine="bitset",
                         automaton=self.automaton.name,
                         lanes=len(lane_vectors), cycles=total_cycles):
             start = perf_counter()
-            lane_hits, lane_misses = self._execute_lanes(
-                lane_vectors, recorders, histories=histories)
+            for vectors, recorder, history in zip(lane_vectors, recorders,
+                                                  histories):
+                self._execute(vectors, recorder, history)
             elapsed = perf_counter() - start
+        hits = self._cache_hits - hits_before
+        misses = self._cache_misses - misses_before
         # Lane-for-lane parity with N serial runs: counters move by the
         # same amounts a loop of run() calls would move them.
         handles.runs.inc(len(lane_vectors))
@@ -527,98 +414,21 @@ class BitsetEngine:
         handles.reports.inc(
             sum(r.total_reports for r in recorders) - reports_before)
         handles.run_seconds.observe(elapsed)
-        handles.cache_hits.inc(sum(lane_hits))
-        handles.cache_misses.inc(sum(lane_misses))
+        handles.cache_hits.inc(hits)
+        handles.cache_misses.inc(misses)
         handles.batch_lanes.observe(len(lane_vectors))
-        handles.batch_lane_cache_hits.inc(sum(lane_hits))
-        handles.batch_lane_cache_misses.inc(sum(lane_misses))
-        if histories is not None:
-            observe_active = handles.active_states.observe
-            for history in histories:
-                for count in history:
-                    observe_active(count)
-
-    def _execute_lanes(self, lane_vectors, recorders, start_cycles=None,
-                       record_from=None, histories=None):
-        """The batched hot loop: N lanes, one shared step cache.
-
-        ``start_cycles`` gives each lane's absolute first cycle (shard
-        replays start mid-stream; phases derive from absolute cycles so
-        start-period boundaries line up with the serial run) and
-        ``record_from`` suppresses reports/history before a lane's true
-        block start (warm-up cycles exist only to rebuild the active
-        mask).  Returns per-lane ``(hits, misses)`` lists.
-        """
-        count = len(lane_vectors)
-        if start_cycles is None:
-            start_cycles = (0,) * count
-        if record_from is None:
-            record_from = start_cycles
-        cache = self._step_cache
-        limit = self._step_cache_limit
-        touch_floor = limit >> 1
-        period = self._start_period
-        report_mask = self._report_mask
-        arity = self.automaton.arity
-        popcount = _popcount
-        cache_get = cache.get if cache is not None else None
-        enabled_from = self._enabled_from
-        match_mask = self.match_mask
-        report_plan = self._report_plan
-        actives = [0] * count
-        lane_hits = [0] * count
-        lane_misses = [0] * count
-        lane_lengths = [len(vectors) for vectors in lane_vectors]
-        for index in range(max(lane_lengths, default=0)):
-            for lane in range(count):
-                if index >= lane_lengths[lane]:
-                    continue
-                vector = lane_vectors[lane][index]
-                cycle = start_cycles[lane] + index
-                phase = (2 if cycle == 0 else
-                         1 if cycle % period == 0 else 0)
-                active = actives[lane]
-                if cache is not None:
-                    key = (active, vector, phase)
-                    cached = cache_get(key)
-                    if cached is None:
-                        lane_misses[lane] += 1
-                        nxt = enabled_from(active, phase) & match_mask(vector)
-                        cached = (nxt, report_plan(nxt & report_mask))
-                        if len(cache) >= limit:
-                            cache.pop(next(iter(cache)))
-                        cache[key] = cached
-                    else:
-                        lane_hits[lane] += 1
-                        if len(cache) > touch_floor:
-                            del cache[key]
-                            cache[key] = cached
-                    active, plan = cached
-                else:
-                    lane_misses[lane] += 1
-                    active = enabled_from(active, phase) & match_mask(vector)
-                    plan = (report_plan(active & report_mask)
-                            if active & report_mask else ())
-                actives[lane] = active
-                if cycle >= record_from[lane]:
-                    if plan:
-                        recorder = recorders[lane]
-                        if recorder is not None:
-                            base = cycle * arity
-                            for offset, state_id, code in plan:
-                                recorder.record(base + offset, cycle,
-                                                state_id, code)
-                    if histories is not None:
-                        histories[lane].append(popcount(active))
-        self._cache_hits += sum(lane_hits)
-        self._cache_misses += sum(lane_misses)
-        return lane_hits, lane_misses
+        handles.batch_lane_cache_hits.inc(hits)
+        handles.batch_lane_cache_misses.inc(misses)
+        observe_active = handles.active_states.observe
+        for history in histories:
+            for count in history:
+                observe_active(count)
 
     # ------------------------------------------------------------------
     # Sharded single-stream execution
     # ------------------------------------------------------------------
     def run_sharded(self, stream, shards, recorder=None, position_limit=None,
-                    runner=None, interleave=True):
+                    runner=None):
         """Split one stream into ``shards`` blocks and stitch the results.
 
         Every block after the first replays an *overlap prefix* of
@@ -634,9 +444,8 @@ class BitsetEngine:
         ``runner`` fans blocks across a
         :class:`~repro.sim.parallel.ParallelRunner` pool (workers
         rebuild the engine from the pickled automaton); without one the
-        blocks run in-process — ``interleave=True`` drives them as lanes
-        of one batched pass sharing this engine's step cache,
-        ``interleave=False`` replays them sequentially.
+        blocks run in-process, one after another, on this engine's step
+        cache.
 
         ``shards="auto"`` sizes the split itself: the pool's worker
         count (or :data:`AUTO_SHARD_DEFAULT` in-process), falling back
@@ -662,65 +471,32 @@ class BitsetEngine:
                                 fallback="serial"):
                     return self.run(vectors, recorder)
             return self.run(vectors, recorder)
-        spans = _shard_spans(len(vectors), shards)
-        blocks = [(vectors[max(0, start - depth):end],
-                   max(0, start - depth), start)
-                  for start, end in spans]
+        blocks = [(max(0, start - depth), start, end)
+                  for start, end in _shard_spans(len(vectors), shards)]
         if OBS.active:
             arity = self.automaton.arity
             overlap = OBS.instruments.shard_overlap_bytes
-            for _, warm_start, start in blocks[1:]:
+            for warm_start, start, _ in blocks[1:]:
                 overlap.observe((start - warm_start) * arity)
         with trace_span("engine.run_sharded", engine="bitset",
                         automaton=self.automaton.name, shards=shards,
                         depth_bound=depth, cycles=len(vectors),
                         auto_threshold=AUTO_SHARD_MIN_CYCLES):
-            parts, histories = self._run_shard_blocks(
-                blocks, recorder, runner, interleave)
-        for part in parts:
-            recorder.absorb(part)
-        self.reset()
-        if histories is not None:
-            stitched = self.active_count_history
-            for history in histories:
-                stitched.extend(history)
+            self.reset()
+            history = self.active_count_history
+            if runner is not None and runner.workers > 1:
+                jobs = [(self.automaton, self._step_cache_limit,
+                         vectors[warm_start:end], warm_start, start,
+                         recorder.keep_events, recorder.position_limit)
+                        for warm_start, start, end in blocks]
+                for payload, part_history in runner.map(_shard_job, jobs):
+                    recorder.absorb(ReportRecorder.from_payload(payload))
+                    history.extend(part_history)
+            else:
+                for warm_start, start, end in blocks:
+                    self._replay(vectors[warm_start:end], warm_start, start,
+                                 recorder, history)
         return recorder
-
-    def _run_shard_blocks(self, blocks, recorder, runner, interleave):
-        """Execute shard blocks; returns (part recorders, histories)."""
-        keep_history = self._history_limit != 0
-        if runner is not None and runner.workers > 1:
-            jobs = [(self.automaton, self.kernel, self._step_cache_limit,
-                     block_vectors, start_cycle, record_from,
-                     recorder.keep_events, recorder.position_limit,
-                     keep_history)
-                    for block_vectors, start_cycle, record_from in blocks]
-            outcomes = runner.map(_shard_job, jobs)
-            parts = [ReportRecorder.from_payload(payload)
-                     for payload, _ in outcomes]
-            histories = ([history for _, history in outcomes]
-                         if keep_history else None)
-            return parts, histories
-        parts = [ReportRecorder(keep_events=recorder.keep_events,
-                                position_limit=recorder.position_limit)
-                 for _ in blocks]
-        histories = [[] for _ in blocks] if keep_history else None
-        lane_vectors = [block_vectors for block_vectors, _, _ in blocks]
-        start_cycles = [start_cycle for _, start_cycle, _ in blocks]
-        record_from = [record for _, _, record in blocks]
-        if interleave:
-            self._execute_lanes(lane_vectors, parts,
-                                start_cycles=start_cycles,
-                                record_from=record_from,
-                                histories=histories)
-        else:
-            for index in range(len(blocks)):
-                self._execute_lanes(
-                    [lane_vectors[index]], [parts[index]],
-                    start_cycles=[start_cycles[index]],
-                    record_from=[record_from[index]],
-                    histories=[histories[index]] if histories else None)
-        return parts, histories
 
     @staticmethod
     def _auto_shards(cycle_count, runner):
@@ -740,16 +516,16 @@ class BitsetEngine:
 
         ``windows`` are ascending, disjoint ``(start, record_from,
         end)`` cycle triples from :func:`repro.prefilter.gate.
-        plan_windows`: each runs as a lane from an empty active mask at
-        absolute cycle ``start`` (phases align with the serial run) and
+        plan_windows`: each runs from an empty active mask at absolute
+        cycle ``start`` (phases align with the serial run) and
         suppresses reports before ``record_from`` — the same warm-up
         replay :meth:`run_sharded` uses, so provided ``record_from -
         start >= depth_bound()`` (or ``start == 0``) the recorded
         events are bit-exact with the corresponding slice of
-        :meth:`run`.  Parts are stitched in window order, which is
-        cycle order.  No active-count history is kept: a gated run
-        skips most cycles, so per-cycle statistics would not be
-        comparable with an ungated run's.
+        :meth:`run`.  Windows are recorded in order, which is cycle
+        order.  No active-count history is kept: a gated run skips most
+        cycles, so per-cycle statistics would not be comparable with an
+        ungated run's.
         """
         vectors = _normalize_stream(self.automaton, vectors)
         if recorder is None:
@@ -771,43 +547,38 @@ class BitsetEngine:
         materializes the full vector stream — its Python-level work
         stays proportional to the windows, not the input length.
         """
-        parts = [ReportRecorder(keep_events=recorder.keep_events,
-                                position_limit=recorder.position_limit)
-                 for _ in lane_vectors]
+        lanes = list(zip(lane_vectors, start_cycles, record_from))
         if OBS.active:
-            self._run_windows_observed(lane_vectors, parts, start_cycles,
-                                       record_from, total_cycles)
+            self._run_windows_observed(lanes, recorder, total_cycles)
         else:
-            self._execute_lanes(lane_vectors, parts,
-                                start_cycles=start_cycles,
-                                record_from=record_from)
-        for part in parts:
-            recorder.absorb(part)
+            for lane in lanes:
+                self._replay(*lane, recorder, None)
         self.reset()
         return recorder
 
-    def _run_windows_observed(self, lane_vectors, parts, starts,
-                              record_from, total_cycles):
+    def _run_windows_observed(self, lanes, recorder, total_cycles):
         """`run_windows` with the telemetry hooks live."""
         handles = OBS.instruments.engine_handles("bitset")
-        executed = sum(len(vectors) for vectors in lane_vectors)
+        executed = sum(len(vectors) for vectors, _, _ in lanes)
         if total_cycles is None:
             total_cycles = executed
+        reports_before = recorder.total_reports
+        hits_before = self._cache_hits
+        misses_before = self._cache_misses
         with trace_span("engine.run_windows", engine="bitset",
                         automaton=self.automaton.name,
-                        windows=len(lane_vectors), cycles=executed,
+                        windows=len(lanes), cycles=executed,
                         total_cycles=total_cycles):
             start = perf_counter()
-            lane_hits, lane_misses = self._execute_lanes(
-                lane_vectors, parts, start_cycles=starts,
-                record_from=record_from)
+            for lane in lanes:
+                self._replay(*lane, recorder, None)
             elapsed = perf_counter() - start
         handles.runs.inc()
         handles.cycles.inc(executed)
-        handles.reports.inc(sum(part.total_reports for part in parts))
+        handles.reports.inc(recorder.total_reports - reports_before)
         handles.run_seconds.observe(elapsed)
-        handles.cache_hits.inc(sum(lane_hits))
-        handles.cache_misses.inc(sum(lane_misses))
+        handles.cache_hits.inc(self._cache_hits - hits_before)
+        handles.cache_misses.inc(self._cache_misses - misses_before)
 
 
 class NaiveEngine:
@@ -880,16 +651,13 @@ def _shard_job(job):
     automaton (step-cache state does not cross processes).  Returns
     ``(recorder_payload, history_list)``.
     """
-    (automaton, kernel, step_cache, vectors, start_cycle, record_from,
-     keep_events, position_limit, keep_history) = job
-    engine = BitsetEngine(automaton, kernel=kernel, step_cache=step_cache,
-                          history_limit=0)
+    (automaton, step_cache, vectors, warm_start, start, keep_events,
+     position_limit) = job
+    engine = BitsetEngine(automaton, step_cache=step_cache)
     part = ReportRecorder(keep_events=keep_events,
                           position_limit=position_limit)
-    history = [] if keep_history else None
-    engine._execute_lanes(
-        [vectors], [part], start_cycles=[start_cycle], record_from=[record_from],
-        histories=[history] if keep_history else None)
+    history = []
+    engine._replay(vectors, warm_start, start, part, history)
     return part.to_payload(), history
 
 

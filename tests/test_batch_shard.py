@@ -1,13 +1,13 @@
 """Differential suite for batched and sharded execution.
 
 Every fast-path strategy — ``BitsetEngine.run_batch``,
-``BitsetEngine.run_sharded`` (sequential and interleaved,
-in-process and through a worker pool), ``SunderDevice.run_batch``, and
+``BitsetEngine.run_sharded`` (in-process, on a cold or an already warm
+step cache, and through a worker pool), ``SunderDevice.run_batch``, and
 the multi-round batch path — must be *bit-exact* against the plain
 serial run: identical recorder payloads (event order included) and
 identical active-count histories.  The artifact-keying tests pin that
-plans with ``batch``/``shards`` salt the simulate-stage keys while plain
-runs keep their pre-existing keys.
+plans with ``shards`` salt the simulate-stage keys while plain runs
+keep their pre-existing keys.
 """
 
 import random
@@ -116,10 +116,16 @@ class TestEngineBatchEdges:
             assert [r.to_payload() for r in recorders] == expected, trial
 
 
-@pytest.mark.parametrize("interleave", [True, False])
+def _shard_engine(machine, serial_engine, warm_cache):
+    """The engine a sharded run uses: the serial run's own engine (its
+    step cache already warm with the stream) or a fresh one."""
+    return serial_engine if warm_cache else BitsetEngine(machine)
+
+
+@pytest.mark.parametrize("warm_cache", [True, False])
 class TestEngineShardDifferential:
-    def test_shard_stitch_matches_single_pass(self, interleave):
-        rng = random.Random(42 if interleave else 43)
+    def test_shard_stitch_matches_single_pass(self, warm_cache):
+        rng = random.Random(42 if warm_cache else 43)
         machine = compile_ruleset(ACYCLIC_RULES)
         assert machine.depth_bound() is not None
         vectors, limit = stream_for(machine, _noisy_data(rng))
@@ -127,49 +133,52 @@ class TestEngineShardDifferential:
         serial = serial_engine.run(vectors, position_limit=limit)
         serial_history = list(serial_engine.active_count_history)
         for shards in (2, 3, 5, 8):
-            engine = BitsetEngine(machine)
+            engine = _shard_engine(machine, serial_engine, warm_cache)
             recorder = engine.run_sharded(vectors, shards,
-                                          position_limit=limit,
-                                          interleave=interleave)
+                                          position_limit=limit)
             assert recorder.to_payload() == serial.to_payload(), shards
             assert list(engine.active_count_history) == serial_history
 
-    def test_overlap_window_reports_not_duplicated(self, interleave):
+    def test_overlap_window_reports_not_duplicated(self, warm_cache):
         # Witnesses planted to straddle every shard boundary: the
         # overlap replay re-sees those cycles, and the stitcher must
         # count each report exactly once.
         machine = compile_ruleset(["abcd"])
         data = b"abcd" * 50
         vectors, limit = stream_for(machine, data)
-        serial = BitsetEngine(machine).run(vectors, position_limit=limit)
+        serial_engine = BitsetEngine(machine)
+        serial = serial_engine.run(vectors, position_limit=limit)
         assert serial.total_reports == 50
         for shards in (2, 3, 7):
-            recorder = BitsetEngine(machine).run_sharded(
-                vectors, shards, position_limit=limit,
-                interleave=interleave)
+            recorder = _shard_engine(machine, serial_engine,
+                                     warm_cache).run_sharded(
+                vectors, shards, position_limit=limit)
             assert recorder.to_payload() == serial.to_payload()
 
-    def test_random_shard_boundaries_property(self, interleave):
-        rng = random.Random(99 if interleave else 98)
+    def test_random_shard_boundaries_property(self, warm_cache):
+        rng = random.Random(99 if warm_cache else 98)
         for trial in range(8):
             machine = random_automaton(rng, n_states=rng.randint(4, 10))
             if machine.depth_bound() is None:
                 continue  # cyclic draws take the fallback path (below)
             stream = [rng.randrange(256) for _ in range(rng.randint(5, 120))]
-            serial = BitsetEngine(machine).run(stream)
+            serial_engine = BitsetEngine(machine)
+            serial = serial_engine.run(stream)
             shards = rng.randint(1, len(stream))
-            recorder = BitsetEngine(machine).run_sharded(
-                stream, shards, interleave=interleave)
+            recorder = _shard_engine(machine, serial_engine,
+                                     warm_cache).run_sharded(stream, shards)
             assert recorder.to_payload() == serial.to_payload(), \
                 (trial, shards)
 
-    def test_strided_machine_sharded(self, interleave):
+    def test_strided_machine_sharded(self, warm_cache):
         rng = random.Random(7)
         machine = to_rate(compile_ruleset(ACYCLIC_RULES[:4]), 4)
         vectors, limit = stream_for(machine, _noisy_data(rng))
-        serial = BitsetEngine(machine).run(vectors, position_limit=limit)
-        recorder = BitsetEngine(machine).run_sharded(
-            vectors, 4, position_limit=limit, interleave=interleave)
+        serial_engine = BitsetEngine(machine)
+        serial = serial_engine.run(vectors, position_limit=limit)
+        recorder = _shard_engine(machine, serial_engine,
+                                 warm_cache).run_sharded(
+            vectors, 4, position_limit=limit)
         assert recorder.to_payload() == serial.to_payload()
 
 
@@ -387,9 +396,9 @@ class TestStageKeysAndCache:
             return sim.key
 
         plain = sim_key()
-        assert sim_key(batch=1, shards=1) == plain  # pre-change key shape
-        keys = {plain, sim_key(batch=4), sim_key(batch=8), sim_key(shards=3),
-                sim_key(shards=4)}
+        assert sim_key(shards=1) == plain  # pre-change key shape
+        keys = {plain, sim_key(shards=2), sim_key(shards=3),
+                sim_key(shards=4), sim_key(shards="auto")}
         assert len(keys) == 5
 
     def test_warm_store_hits_for_same_batch_params(self, tmp_path):
@@ -399,10 +408,10 @@ class TestStageKeysAndCache:
         from repro.runtime import Runtime, StageGraph
         from repro.runtime import store as runtime_store
 
-        def run_simulate(batch):
+        def run_simulate(shards):
             graph = StageGraph()
             table1.define(graph, 0.002, 0, ["Snort"],
-                          plan=ExecutionPlan(batch=batch))
+                          plan=ExecutionPlan(shards=shards))
             [sim] = [task for task in graph.order
                      if task.stage.name == "simulate8"]
             results = Runtime().execute(graph, targets=[sim])
@@ -411,21 +420,21 @@ class TestStageKeysAndCache:
         store_dir = str(tmp_path / "artifacts")
         try:
             runtime_store.configure(directory=store_dir)
-            cold = run_simulate(batch=4)
+            cold = run_simulate(shards=4)
             # Fresh store on the same directory drops the memory tier:
             # the warm run is served purely by on-disk artifacts.
             runtime_store.configure(directory=store_dir)
             registry = obs.MetricsRegistry()
             with obs.collecting(registry=registry):
-                warm = run_simulate(batch=4)
-                different = run_simulate(batch=8)
+                warm = run_simulate(shards=4)
+                different = run_simulate(shards=8)
         finally:
             runtime_store.configure()
         assert warm.recorder.to_payload() == cold.recorder.to_payload()
         assert different.recorder.to_payload() == cold.recorder.to_payload()
         misses = registry.get("repro_runtime_stage_misses_total")
         hits = registry.get("repro_runtime_stage_hits_total")
-        # Same batch param: pure hit.  Different batch param: new key,
+        # Same shards param: pure hit.  Different shards param: new key,
         # so it executes (a miss) even on the warm store.
         assert hits.labels(stage="simulate8").value == 1
         assert misses.labels(stage="simulate8").value == 1
@@ -435,8 +444,8 @@ class TestStageKeysAndCache:
         from repro.experiments import table1
         names = ["Snort", "SPM"]
         plain = table1.run(scale=0.002, seed=0, names=names)
-        batched = table1.run(scale=0.002, seed=0, names=names,
-                             plan=ExecutionPlan(batch=4))
-        sharded = table1.run(scale=0.002, seed=0, names=names,
-                             plan=ExecutionPlan(shards=3))
-        assert plain == batched == sharded
+        sharded3 = table1.run(scale=0.002, seed=0, names=names,
+                              plan=ExecutionPlan(shards=3))
+        sharded4 = table1.run(scale=0.002, seed=0, names=names,
+                              plan=ExecutionPlan(shards=4))
+        assert plain == sharded3 == sharded4

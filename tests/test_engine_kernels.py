@@ -1,6 +1,6 @@
-"""Kernel/cache differential suite: every BitsetEngine configuration
-must be bit-exact with NaiveEngine, including start-period and
-report-offset edge cases, plus the step-cache and history-limit
+"""Kernel/cache differential suite: every BitsetEngine configuration and
+entry point must be bit-exact with NaiveEngine, including start-period
+and report-offset edge cases, plus the step-cache and history
 behaviours themselves."""
 
 import random
@@ -10,17 +10,23 @@ from hypothesis import given, settings, strategies as st
 
 from repro.automata import Automaton, StartKind, SymbolSet
 from repro.errors import SimulationError
+from repro.regex import compile_ruleset
 from repro.sim import BitsetEngine, NaiveEngine, ReportRecorder
-from repro.sim.engine import DEFAULT_STEP_CACHE, EAGER_SLICE_STATES, _popcount
+from repro.sim.engine import DEFAULT_STEP_CACHE, _popcount
 from conftest import random_automaton
 
-#: Every kernel/cache configuration under differential test.
+#: Every (step-cache capacity, entry point) pair under differential
+#: test.  "scan-cache*" and "sliced-cache4" drive whole streams through
+#: ``run``; "sliced-cache0" and "sliced-cache<default capacity>" drive
+#: them through per-vector ``step``.  Capacity 4 evicts constantly.
 CONFIGS = [
-    {"kernel": "scan", "step_cache": 0},
-    {"kernel": "scan", "step_cache": DEFAULT_STEP_CACHE},
-    {"kernel": "sliced", "step_cache": 0},
-    {"kernel": "sliced", "step_cache": DEFAULT_STEP_CACHE},
-    {"kernel": "sliced", "step_cache": 4},  # tiny: constant eviction
+    pytest.param(0, "run", id="scan-cache0"),
+    pytest.param(DEFAULT_STEP_CACHE, "run", id="scan-cache%d"
+                 % DEFAULT_STEP_CACHE),
+    pytest.param(0, "step", id="sliced-cache0"),
+    pytest.param(DEFAULT_STEP_CACHE, "step", id="sliced-cache%d"
+                 % DEFAULT_STEP_CACHE),
+    pytest.param(4, "run", id="sliced-cache4"),
 ]
 
 
@@ -58,12 +64,22 @@ def _edge_case_automaton(rng, start_period=1, arity=2):
     return automaton
 
 
-def _assert_equivalent(automaton, streams, config):
-    bitset = BitsetEngine(automaton, **config)
+def _drive(engine, data, recorder, entry):
+    """Run ``data`` through ``engine`` via ``run`` or per-vector ``step``."""
+    if entry == "run":
+        engine.run(data, recorder)
+        return
+    engine.reset()
+    for item in data:
+        engine.step((item,) if isinstance(item, int) else item, recorder)
+
+
+def _assert_equivalent(automaton, streams, step_cache, entry):
+    bitset = BitsetEngine(automaton, step_cache=step_cache)
     naive = NaiveEngine(automaton)
     for data in streams:
         r1, r2 = ReportRecorder(), ReportRecorder()
-        bitset.run(data, r1)
+        _drive(bitset, data, r1, entry)
         naive.run(data, r2)
         assert r1.event_keys() == r2.event_keys()
         assert r1.total_reports == r2.total_reports
@@ -72,11 +88,9 @@ def _assert_equivalent(automaton, streams, config):
 
 
 class TestDifferential:
-    @pytest.mark.parametrize("config", CONFIGS,
-                             ids=lambda c: "%s-cache%d" % (c["kernel"],
-                                                           c["step_cache"]))
+    @pytest.mark.parametrize("step_cache,entry", CONFIGS)
     @pytest.mark.parametrize("seed", range(8))
-    def test_random_automata_match_naive(self, seed, config):
+    def test_random_automata_match_naive(self, seed, step_cache, entry):
         rng = random.Random(seed)
         automaton = random_automaton(rng, n_states=9, bits=4,
                                      edge_density=0.3)
@@ -86,13 +100,12 @@ class TestDifferential:
             [rng.randrange(16) for _ in range(rng.randint(0, 30))]
             for _ in range(4)
         ]
-        _assert_equivalent(automaton, streams, config)
+        _assert_equivalent(automaton, streams, step_cache, entry)
 
-    @pytest.mark.parametrize("config", CONFIGS,
-                             ids=lambda c: "%s-cache%d" % (c["kernel"],
-                                                           c["step_cache"]))
+    @pytest.mark.parametrize("step_cache,entry", CONFIGS)
     @pytest.mark.parametrize("start_period", (1, 2, 3, 5))
-    def test_start_period_and_offsets_match_naive(self, start_period, config):
+    def test_start_period_and_offsets_match_naive(self, start_period,
+                                                  step_cache, entry):
         rng = random.Random(1000 + start_period)
         automaton = _edge_case_automaton(rng, start_period=start_period)
         if len(automaton) == 0:
@@ -102,32 +115,31 @@ class TestDifferential:
              for _ in range(rng.randint(1, 40))]
             for _ in range(4)
         ]
-        _assert_equivalent(automaton, streams, config)
+        _assert_equivalent(automaton, streams, step_cache, entry)
 
-    def test_kernels_agree_on_large_lazy_sliced_automaton(self):
-        """Above the eager threshold the lazy table fill must stay exact."""
+    def test_large_automaton_matches_naive(self):
+        """A 552-state machine, wider than any small-machine shortcut."""
         rng = random.Random(7)
-        automaton = random_automaton(rng, n_states=EAGER_SLICE_STATES + 40,
-                                     bits=4, edge_density=0.01)
-        engine = BitsetEngine(automaton, kernel="sliced", step_cache=0)
-        assert any(entry is None
-                   for table in engine._block_tables for entry in table)
+        automaton = random_automaton(rng, n_states=552, bits=4,
+                                     edge_density=0.01)
         data = [rng.randrange(16) for _ in range(120)]
-        r_sliced = engine.run(data)
-        r_scan = BitsetEngine(automaton, kernel="scan", step_cache=0).run(data)
-        assert r_sliced.event_keys() == r_scan.event_keys()
+        for step_cache in (0, DEFAULT_STEP_CACHE):
+            recorder = BitsetEngine(automaton, step_cache=step_cache).run(data)
+            reference = NaiveEngine(automaton).run(data)
+            assert recorder.event_keys() == reference.event_keys()
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10_000), st.binary(max_size=32),
-           st.sampled_from(["scan", "sliced"]), st.sampled_from([0, 8, 1024]))
-    def test_hypothesis_configs_match_naive(self, seed, raw, kernel, cache):
+           st.sampled_from(["run", "step"]), st.sampled_from([0, 8, 1024]))
+    def test_hypothesis_configs_match_naive(self, seed, raw, entry, cache):
         rng = random.Random(seed)
         automaton = random_automaton(rng, n_states=7, bits=4,
                                      edge_density=0.35)
         if len(automaton) == 0:
             return
         data = [byte % 16 for byte in raw]
-        r1 = BitsetEngine(automaton, kernel=kernel, step_cache=cache).run(data)
+        r1 = ReportRecorder()
+        _drive(BitsetEngine(automaton, step_cache=cache), data, r1, entry)
         r2 = NaiveEngine(automaton).run(data)
         assert r1.event_keys() == r2.event_keys()
 
@@ -176,8 +188,31 @@ class TestStepCache:
         assert info["size"] <= info["limit"]
 
     def test_disabled_cache_records_nothing(self):
-        engine = BitsetEngine(self._abc(), step_cache=0)
-        engine.run([1, 1, 1])
+        """With the cache off no path looks anything up, so none counts
+        a hit or a miss, and every path stays bit-exact with
+        NaiveEngine."""
+        machine = compile_ruleset(["abc", "b.d", "hello"])
+        depth = machine.depth_bound()
+        assert depth is not None  # run_sharded must really shard
+        data = list(b"xxabcxbzdhello abc hellob.dxabcd")
+        expected = NaiveEngine(machine).run(data).event_keys()
+        engine = BitsetEngine(machine, step_cache=0)
+
+        assert engine.run(data).event_keys() == expected
+        stepped = ReportRecorder()
+        engine.reset()
+        for symbol in data:
+            engine.step((symbol,), stepped)
+        assert stepped.event_keys() == expected
+        short = data[:11]
+        lanes = engine.run_batch([data, short])
+        assert [lane.event_keys() for lane in lanes] == [
+            expected, NaiveEngine(machine).run(short).event_keys()]
+        assert engine.run_sharded(data, 3).event_keys() == expected
+        cut = len(data) // 2
+        windows = [(0, 0, cut), (cut - depth, cut, len(data))]
+        assert engine.run_windows(data, windows).event_keys() == expected
+
         info = engine.step_cache_info()
         assert info == {"hits": 0, "misses": 0, "hit_rate": 0.0,
                         "size": 0, "limit": 0}
@@ -194,34 +229,20 @@ class TestStepCache:
 
     def test_invalid_configuration_raises(self):
         with pytest.raises(SimulationError):
-            BitsetEngine(self._abc(), kernel="quantum")
-        with pytest.raises(SimulationError):
             BitsetEngine(self._abc(), step_cache=-1)
-        with pytest.raises(SimulationError):
-            BitsetEngine(self._abc(), history_limit=-1)
 
 
 class TestHistoryLimit:
-    def _engine(self, **kwargs):
+    def _engine(self):
         automaton = Automaton(bits=8)
         automaton.new_state("s", SymbolSet.of(8, [1]), start="all-input")
-        return BitsetEngine(automaton, **kwargs)
+        return BitsetEngine(automaton)
 
     def test_default_is_unbounded_list(self):
         engine = self._engine()
         engine.run([1, 2, 1])
         assert engine.active_count_history == [1, 0, 1]
         assert isinstance(engine.active_count_history, list)
-
-    def test_limit_keeps_most_recent_counts(self):
-        engine = self._engine(history_limit=2)
-        engine.run([1, 2, 1, 1])
-        assert list(engine.active_count_history) == [1, 1]
-
-    def test_zero_disables_history(self):
-        engine = self._engine(history_limit=0)
-        engine.run([1, 2, 1])
-        assert len(engine.active_count_history) == 0
 
 
 def test_popcount_matches_reference():

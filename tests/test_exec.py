@@ -3,9 +3,9 @@
 The layer's contract is that nothing new executes: a planned
 ``Session.execute`` call dispatches to exactly the run variants PRs 5-8
 already proved bit-exact, so its results must equal every direct
-variant call — engine serial/sharded/interleaved/batched/gated and
-device packed/literal/gated — across the PR 8 regex families, rates
-1/2/4, and both fast kernels.  On top of that sit the plan's error
+variant call — engine serial/sharded/batched/gated and device
+packed/literal/gated — across the PR 8 regex families and rates
+1/2/4.  On top of that sit the plan's error
 matrix (bad values, contradictory combinations, trait-dependent
 rejections), canonical serialization, trait memoization, and the
 planner property that its output is always executable.
@@ -24,7 +24,6 @@ from repro.exec import (DEFAULT_PLAN, PLAN_FORMAT, PLAN_VERSION,
 from repro.prefilter import build_prefilter, gated_device_run, gated_simulation
 from repro.regex import compile_pattern, compile_ruleset
 from repro.sim import BitsetEngine, stream_for
-from repro.sim.engine import AUTO_SHARD_MIN_CYCLES
 from repro.sim.reports import ReportRecorder
 from repro.transform import to_rate
 from test_prefilter import (ALPHABET, FILTERABLE_FAMILIES, RATES,
@@ -32,8 +31,6 @@ from test_prefilter import (ALPHABET, FILTERABLE_FAMILIES, RATES,
 
 ALL_FAMILIES = dict(FILTERABLE_FAMILIES)
 ALL_FAMILIES.update(UNFILTERABLE_FAMILIES)
-
-KERNELS = ("sliced", "scan")
 
 
 def _events(recorder):
@@ -64,65 +61,48 @@ class TestSessionEngineDifferential:
             source = compile_ruleset(rules)
             machine = source if rate == 1 else to_rate(source, rate)
             traits = automaton_traits(machine)
-            for kernel in KERNELS:
-                for data in streams:
-                    vectors, limit = stream_for(machine, data)
-                    engine = BitsetEngine(machine, kernel=kernel)
+            for data in streams:
+                vectors, limit = stream_for(machine, data)
+                engine = BitsetEngine(machine)
 
-                    # serial
-                    baseline = _recorder_for(machine, data)
-                    engine.run(vectors, baseline)
-                    session = Session(machine, ExecutionPlan(kernel=kernel),
-                                      source=source)
-                    got = session.execute([data])
-                    assert len(got) == 1
-                    assert _events(got[0]) == _events(baseline), (
-                        family, rate, kernel, "serial")
+                # serial
+                baseline = _recorder_for(machine, data)
+                engine.run(vectors, baseline)
+                session = Session(machine, ExecutionPlan(), source=source)
+                got = session.execute([data])
+                assert len(got) == 1
+                assert _events(got[0]) == _events(baseline), (
+                    family, rate, "serial")
 
-                    # multi-stream batch
-                    recorders = [_recorder_for(machine, d) for d in streams]
-                    engine.run_batch([stream_for(machine, d)[0]
-                                      for d in streams], recorders)
-                    got = Session(machine, ExecutionPlan(kernel=kernel),
-                                  source=source).execute(streams)
-                    assert [_events(r) for r in got] \
-                        == [_events(r) for r in recorders], (
-                            family, rate, kernel, "batch")
+                # multi-stream batch
+                recorders = [_recorder_for(machine, d) for d in streams]
+                engine.run_batch([stream_for(machine, d)[0]
+                                  for d in streams], recorders)
+                got = Session(machine, ExecutionPlan(),
+                              source=source).execute(streams)
+                assert [_events(r) for r in got] \
+                    == [_events(r) for r in recorders], (
+                        family, rate, "batch")
 
-                    # sharded + interleaved lanes (acyclic machines only:
-                    # validate_for rejects explicit counts on cyclic ones)
-                    if traits.depth_bound is not None:
-                        direct = _recorder_for(machine, data)
-                        engine.run_sharded(vectors, 3, direct,
-                                           interleave=False)
-                        got = Session(
-                            machine,
-                            ExecutionPlan(kernel=kernel, shards=3),
-                            source=source).execute([data])
-                        assert _events(got[0]) == _events(direct), (
-                            family, rate, kernel, "sharded")
-
-                        direct = _recorder_for(machine, data)
-                        engine.run_sharded(vectors, 3, direct,
-                                           interleave=True)
-                        got = Session(
-                            machine,
-                            ExecutionPlan(kernel=kernel, batch=3),
-                            source=source).execute([data])
-                        assert _events(got[0]) == _events(direct), (
-                            family, rate, kernel, "interleaved")
-
-                    # prefilter-gated (bit-exact whether the gate engages
-                    # or bypasses; unfilterable families take the bypass)
+                # sharded (acyclic machines only: validate_for rejects
+                # explicit counts on cyclic ones)
+                if traits.depth_bound is not None:
                     direct = _recorder_for(machine, data)
-                    gated_simulation(machine, data, direct, source=source,
-                                     prefilter=build_prefilter(source))
-                    got = Session(
-                        machine,
-                        ExecutionPlan(kernel=kernel, prefilter=True),
-                        source=source).execute([data])
-                    assert _sorted_events(got[0]) == _sorted_events(direct), (
-                        family, rate, kernel, "gated")
+                    engine.run_sharded(vectors, 3, direct)
+                    got = Session(machine, ExecutionPlan(shards=3),
+                                  source=source).execute([data])
+                    assert _events(got[0]) == _events(direct), (
+                        family, rate, "sharded")
+
+                # prefilter-gated (bit-exact whether the gate engages
+                # or bypasses; unfilterable families take the bypass)
+                direct = _recorder_for(machine, data)
+                gated_simulation(machine, data, direct, source=source,
+                                 prefilter=build_prefilter(source))
+                got = Session(machine, ExecutionPlan(prefilter=True),
+                              source=source).execute([data])
+                assert _sorted_events(got[0]) == _sorted_events(direct), (
+                    family, rate, "gated")
 
     def test_session_reuses_one_engine_across_calls(self):
         machine = compile_ruleset(["abc", "needle"])
@@ -214,12 +194,12 @@ class TestPlanValidation:
 
     @pytest.mark.parametrize("fields", [
         {"target": "gpu"},
-        {"kernel": "vectorized"},
+        {"target": None},
         {"fidelity": "exact"},
         {"shards": 2.0},
-        {"batch": 0},
-        {"batch": True},
-        {"batch": 2.0},
+        {"shards": -1},
+        {"shards": None},
+        {"fidelity": None},
         {"shards": 0},
         {"shards": "turbo"},
         {"shards": False},
@@ -238,12 +218,12 @@ class TestPlanValidation:
         {"prefilter": True, "fidelity": "literal"},
         {"prefilter": True, "shards": 4},
         {"prefilter": True, "shards": "auto"},
-        {"prefilter": True, "batch": 4},
-        {"shards": 4, "batch": 4},
-        {"shards": "auto", "batch": 2},
+        {"prefilter": True, "shards": 2},
+        {"target": "device", "prefilter": True, "fidelity": "literal"},
+        {"target": "device", "prefilter": True, "shards": 2},
         {"target": "device", "shards": 4},
         {"target": "device", "shards": "auto"},
-        {"target": "device", "batch": 4},
+        {"target": "device", "shards": 2},
     ])
     def test_contradictory_combinations_raise(self, fields):
         with pytest.raises(ArchitectureError):
@@ -254,8 +234,8 @@ class TestPlanValidation:
             ExecutionPlan(prefilter=True, fidelity="literal")
         with pytest.raises(ArchitectureError, match="replay windows"):
             ExecutionPlan(prefilter=True, shards=4)
-        with pytest.raises(ArchitectureError, match="competing"):
-            ExecutionPlan(shards=2, batch=2)
+        with pytest.raises(ArchitectureError, match="sharded single-stream"):
+            ExecutionPlan(target="device", shards=2)
         with pytest.raises(ValueError, match="hotcold_coverage"):
             ExecutionPlan(prefilter=True, hotcold_coverage=2.0)
 
@@ -264,8 +244,6 @@ class TestPlanValidation:
         assert cyclic.depth_bound is None and cyclic.cyclic
         with pytest.raises(ArchitectureError, match="cyclic"):
             ExecutionPlan(shards=4).validate_for(cyclic)
-        with pytest.raises(ArchitectureError, match="cyclic"):
-            ExecutionPlan(batch=4).validate_for(cyclic)
         # "auto" stays valid: the engine itself falls back to serial
         plan = ExecutionPlan(shards="auto")
         assert plan.validate_for(cyclic) is plan
@@ -296,9 +274,9 @@ class TestPlanSerialization:
         assert DEFAULT_PLAN.is_default
 
     def test_param_payload_carries_only_non_defaults_plus_version(self):
-        plan = ExecutionPlan(shards="auto", kernel="scan")
+        plan = ExecutionPlan(shards="auto", step_cache=0)
         assert plan.param_payload() == {
-            "kernel": "scan", "shards": "auto", "v": PLAN_VERSION}
+            "shards": "auto", "step_cache": 0, "v": PLAN_VERSION}
 
     def test_full_round_trip(self):
         plan = ExecutionPlan(target="device", fidelity="packed",
@@ -331,7 +309,7 @@ class TestPlanSerialization:
     def test_resolve_plan_coercions(self):
         assert resolve_plan(None) is None
         assert resolve_plan("auto") is None
-        plan = ExecutionPlan(batch=2)
+        plan = ExecutionPlan(shards=2)
         assert resolve_plan(plan) is plan
         assert resolve_plan(plan.param_payload()) == plan
         assert resolve_plan(plan.dumps()) == plan
@@ -346,11 +324,23 @@ class TestPlanSerialization:
         assert ExecutionPlan.from_payload(plan.to_payload()) == plan
 
     def test_equality_and_hash_over_fields(self):
-        assert ExecutionPlan(batch=2) == ExecutionPlan(batch=2)
-        assert ExecutionPlan(batch=2) != ExecutionPlan(batch=3)
+        assert ExecutionPlan(shards=2) == ExecutionPlan(shards=2)
+        assert ExecutionPlan(shards=2) != ExecutionPlan(shards=3)
         assert hash(ExecutionPlan()) == hash(DEFAULT_PLAN)
         assert "default" in repr(ExecutionPlan())
-        assert "batch=2" in repr(ExecutionPlan(batch=2))
+        assert "shards=2" in repr(ExecutionPlan(shards=2))
+
+    @pytest.mark.parametrize("field", ["kernel", "batch", "batch_layout"])
+    def test_removed_fields_are_unknown(self, field):
+        """Payloads naming a field the plan no longer has are rejected."""
+        with pytest.raises(ValueError, match="unknown plan field"):
+            ExecutionPlan.from_payload({field: 2, "v": PLAN_VERSION})
+        full = DEFAULT_PLAN.to_payload()
+        full[field] = 2
+        with pytest.raises(ValueError, match="unknown plan field"):
+            ExecutionPlan.from_payload(full)
+        with pytest.raises(TypeError):
+            ExecutionPlan(**{field: 2})
 
 
 # ---------------------------------------------------------------------------
@@ -390,17 +380,16 @@ class TestPlanner:
         assert plan.reasons == choices
 
     def test_cyclic_machine_stays_serial(self):
-        plan, choices = Planner().explain(
-            compile_pattern("a.*b"),
-            stream_cycles=AUTO_SHARD_MIN_CYCLES * 2)
+        plan, choices = Planner().explain(compile_pattern("a.*b"))
         assert plan.strategy == "serial"
         assert choices[0]["reason"] == "cyclic"
 
-    def test_long_acyclic_unfilterable_stream_shards(self):
-        plan, choices = Planner().explain(
-            compile_pattern("a.c"), stream_cycles=AUTO_SHARD_MIN_CYCLES)
-        assert plan.shards == "auto"
-        assert choices[0]["reason"] == "long-acyclic-stream"
+    def test_long_acyclic_unfilterable_stream_stays_serial(self):
+        """Without a worker pool, shards replay every serial cycle plus a
+        warm-up per block, so no stream length makes them pay."""
+        plan, choices = Planner().explain(compile_pattern("a.c"))
+        assert plan == DEFAULT_PLAN and plan.strategy == "serial"
+        assert choices[0]["reason"] == "unfilterable"
 
     def test_multi_stream_batches(self):
         _, choices = Planner().explain(compile_pattern("a.c"),
@@ -415,8 +404,8 @@ class TestPlanner:
             Planner().plan(compile_pattern("abc"), stream_count=0)
 
     def test_planner_output_is_always_executable(self, rng):
-        """Property: over random machines and shapes, the planner never
-        emits a plan that validate_for or Session.execute rejects."""
+        """Property: over random machines and stream counts, the planner
+        never emits a plan that validate_for or Session.execute rejects."""
         checked = 0
         for index in range(60):
             if checked >= 40:
@@ -428,14 +417,13 @@ class TestPlanner:
             if not len(machine):
                 continue
             traits = automaton_traits(machine)
-            shape = rng.choice([(1, 0), (1, AUTO_SHARD_MIN_CYCLES), (3, 0)])
-            plan = Planner().plan(machine, stream_count=shape[0],
-                                  stream_cycles=shape[1])
+            count = rng.choice([1, 1, 3])
+            plan = Planner().plan(machine, stream_count=count)
             plan.validate_for(traits)
             data = bytes(rng.randrange(256) for _ in range(60))
-            streams = [data] * shape[0]
+            streams = [data] * count
             results = Session(machine, plan).execute(streams)
-            assert len(results) == shape[0]
+            assert len(results) == count
             baseline = _recorder_for(machine, data)
             BitsetEngine(machine).run(stream_for(machine, data)[0], baseline)
             assert _sorted_events(results[0]) == _sorted_events(baseline)
